@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -129,17 +130,30 @@ def _cmd_estimate(args) -> int:
         raise VergescopeError(f"model file holds {len(models)} models; pass --participant")
 
     header = ",".join(dataio.GAZE_CSV_HEADER)
+    n_fields = len(dataio.GAZE_CSV_HEADER)
+    inf = math.inf
+    prev_t = -inf
     last_valid: tuple[float, float] | None = None
     out = sys.stdout
-    for raw in sys.stdin:
+    for line_no, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line or line == header:
             continue
         fields = line.split(",")
-        if len(fields) != len(dataio.GAZE_CSV_HEADER):
-            raise VergescopeError(f"expected {len(dataio.GAZE_CSV_HEADER)} fields, got {len(fields)}")
-        values = [float(v) for v in fields]
-        t = values[0]
+        try:
+            values = [float(v) for v in fields]
+        except ValueError:
+            values = []
+        # The batch reader's row rules as plain comparisons; a row that breaks
+        # one is re-parsed by dataio.parse_gaze_row, which raises its error.
+        if (
+            len(values) != n_fields
+            or not (prev_t <= values[0] < inf and 0.0 <= values[1] <= 1.0 and 0.0 <= values[2] <= 1.0)
+            or inf in values
+            or -inf in values
+        ):
+            dataio.parse_gaze_row(fields, "<stdin>", line_no, prev_t)
+        t = prev_t = values[0]
         conf = min(values[1], values[2])
         if conf < args.confidence:
             continue

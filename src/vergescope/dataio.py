@@ -1,9 +1,16 @@
 """File formats: gaze CSV, trial manifests, subjective reports, tables, JSON.
 
-The gaze CSV is the bulk format (one file per trial, strict fixed header);
-everything structured travels as JSON. Report JSON floats are fixed at nine
-significant digits so repeated runs are byte-identical; gaze CSV floats use
-``repr`` so emit/parse round-trips are lossless.
+The gaze CSV is the bulk format (one file per trial, strict fixed header,
+CRLF line endings as the excel ``csv`` dialect writes them); everything
+structured travels as JSON. Report JSON floats are fixed at nine significant
+digits so repeated runs are byte-identical; gaze CSV floats use ``repr`` so
+emit/parse round-trips are lossless.
+
+``parse_gaze_csv`` first reads a whole file as one table (``float()`` on every
+field, then the schema checks as array masks). Any file that this fast path
+cannot tokenise exactly as ``csv.reader`` would, or that fails a check, goes
+to the record-by-record reader ``_parse_gaze_csv_lines``, which is the only
+place that raises, so every error names the same message, path and line.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,6 +35,7 @@ __all__ = [
     "GAZE_CSV_HEADER",
     "write_gaze_csv",
     "parse_gaze_csv",
+    "parse_gaze_row",
     "write_manifest",
     "load_manifest",
     "load_session_trials",
@@ -60,6 +69,7 @@ GAZE_CSV_HEADER = [
     "r_dy",
     "r_dz",
 ]
+_GAZE_CSV_HEADER_LINE = ",".join(GAZE_CSV_HEADER)
 
 
 def _round9(x: float) -> float:
@@ -98,18 +108,14 @@ def write_json(path: str, obj, precise: bool = False) -> None:
 
 
 def write_gaze_csv(path: str, series: GazeSeries) -> None:
+    table = np.column_stack(
+        (series.t_s, series.l_conf, series.r_conf, series.l_origin, series.l_dir, series.r_origin, series.r_dir)
+    )
+    lines = [_GAZE_CSV_HEADER_LINE]
+    lines.extend([",".join(map(repr, row)) for row in table.tolist()])
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAZE_CSV_HEADER)
-        for i in range(len(series)):
-            row = [
-                repr(float(series.t_s[i])),
-                repr(float(series.l_conf[i])),
-                repr(float(series.r_conf[i])),
-            ]
-            for block in (series.l_origin, series.l_dir, series.r_origin, series.r_dir):
-                row.extend(repr(float(v)) for v in block[i])
-            writer.writerow(row)
+        fh.write("\r\n".join(lines))
 
 
 def _parse_float(text: str, field: str, path: str, line: int, allow_nan: bool) -> float:
@@ -124,6 +130,84 @@ def _parse_float(text: str, field: str, path: str, line: int, allow_nan: bool) -
     return value
 
 
+def parse_gaze_row(raw: Sequence[str], path: str, line: int, prev_t: float) -> list[float]:
+    """Strictly parse one gaze record (15 fields) that follows timestamp ``prev_t``.
+
+    Raises :class:`GazeParseError` naming the first fault: field count,
+    unparseable or non-finite values, a NaN outside the vector fields, a
+    timestamp before ``prev_t``, or a confidence outside [0, 1].
+    """
+    if len(raw) != len(GAZE_CSV_HEADER):
+        raise GazeParseError(f"expected {len(GAZE_CSV_HEADER)} fields, got {len(raw)}", path, line)
+    t = _parse_float(raw[0], "t_s", path, line, allow_nan=False)
+    if t < prev_t:
+        raise GazeParseError(f"non-monotone timestamp {t}", path, line)
+    lc = _parse_float(raw[1], "l_conf", path, line, allow_nan=False)
+    rc = _parse_float(raw[2], "r_conf", path, line, allow_nan=False)
+    for name, v in (("l_conf", lc), ("r_conf", rc)):
+        if not (0.0 <= v <= 1.0):
+            raise GazeParseError(f"{name} {v} outside [0, 1]", path, line)
+    vec = [_parse_float(raw[i], GAZE_CSV_HEADER[i], path, line, allow_nan=True) for i in range(3, 15)]
+    return [t, lc, rc] + vec
+
+
+def _series_from_table(table: np.ndarray) -> GazeSeries:
+    return GazeSeries(
+        t_s=table[:, 0],
+        l_conf=table[:, 1],
+        r_conf=table[:, 2],
+        l_origin=table[:, 3:6],
+        l_dir=table[:, 6:9],
+        r_origin=table[:, 9:12],
+        r_dir=table[:, 12:15],
+    )
+
+
+def _gaze_table_fast(path: str) -> np.ndarray | None:
+    """The (n, 15) table of a gaze CSV, or None where the file needs the per-line parser.
+
+    Accepts exactly the files ``_parse_gaze_csv_lines`` accepts, minus any it
+    cannot tokenise the way ``csv.reader`` does (quotes, lone CR, lines longer
+    than the csv field limit); every value goes through ``float()``.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != _GAZE_CSV_HEADER_LINE or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    body = [line for line in lines[1:] if line]  # csv.reader yields [] for a blank line; both skip it
+    n_fields = len(GAZE_CSV_HEADER)
+    if not body:
+        return np.empty((0, n_fields))
+    if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
+        return None
+    fields = ",".join(body).split(",")
+    try:
+        table = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(len(body), n_fields)
+    except ValueError:
+        return None
+    t, conf = table[:, 0], table[:, 1:3]
+    if (
+        np.isfinite(t).all()
+        and not (t[1:] < t[:-1]).any()
+        and ((conf >= 0.0) & (conf <= 1.0)).all()
+        and not np.isinf(table[:, 3:]).any()
+    ):
+        return table
+    return None
+
+
 def parse_gaze_csv(path: str) -> GazeSeries:
     """Strictly parse a gaze CSV into a series.
 
@@ -131,6 +215,14 @@ def parse_gaze_csv(path: str) -> GazeSeries:
     non-decreasing; confidences must lie in [0, 1]. NaN literals are accepted
     in the vector fields only and mark the sample as missing.
     """
+    table = _gaze_table_fast(path)
+    if table is None:
+        return _parse_gaze_csv_lines(path)
+    return _series_from_table(table)
+
+
+def _parse_gaze_csv_lines(path: str) -> GazeSeries:
+    """Record-by-record reader behind ``parse_gaze_csv``; raises on the first bad line."""
     rows: list[list[float]] = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -146,34 +238,10 @@ def parse_gaze_csv(path: str) -> GazeSeries:
         for line_no, raw in enumerate(reader, start=2):
             if not raw:
                 continue
-            if len(raw) != len(GAZE_CSV_HEADER):
-                raise GazeParseError(
-                    f"expected {len(GAZE_CSV_HEADER)} fields, got {len(raw)}", path, line_no
-                )
-            t = _parse_float(raw[0], "t_s", path, line_no, allow_nan=False)
-            if t < prev_t:
-                raise GazeParseError(f"non-monotone timestamp {t}", path, line_no)
-            prev_t = t
-            lc = _parse_float(raw[1], "l_conf", path, line_no, allow_nan=False)
-            rc = _parse_float(raw[2], "r_conf", path, line_no, allow_nan=False)
-            for name, v in (("l_conf", lc), ("r_conf", rc)):
-                if not (0.0 <= v <= 1.0):
-                    raise GazeParseError(f"{name} {v} outside [0, 1]", path, line_no)
-            vec = [
-                _parse_float(raw[i], GAZE_CSV_HEADER[i], path, line_no, allow_nan=True)
-                for i in range(3, 15)
-            ]
-            rows.append([t, lc, rc] + vec)
-    data = np.asarray(rows, dtype=float).reshape(len(rows), 15)
-    return GazeSeries(
-        t_s=data[:, 0],
-        l_conf=data[:, 1],
-        r_conf=data[:, 2],
-        l_origin=data[:, 3:6],
-        l_dir=data[:, 6:9],
-        r_origin=data[:, 9:12],
-        r_dir=data[:, 12:15],
-    )
+            row = parse_gaze_row(raw, path, line_no, prev_t)
+            prev_t = row[0]
+            rows.append(row)
+    return _series_from_table(np.asarray(rows, dtype=float).reshape(len(rows), 15))
 
 
 def write_manifest(path: str, trials: Sequence[TrialRecord], gaze_files: Sequence[str], depth_set_m: Sequence[float]) -> None:
@@ -270,6 +338,8 @@ def parse_subjective_csv(path: str) -> list[SubjectiveReport]:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise GazeParseError(f"expected {len(reader.fieldnames)} fields", path, line_no)
             try:
                 value = float(row["report_value"])
                 depth = float(row["depth_m"])
@@ -371,6 +441,8 @@ def parse_gva_table_csv(path: str) -> list[GvaTableRow]:
         if reader.fieldnames != _GVA_TABLE_HEADER:
             raise GazeParseError(f"bad gva table header {reader.fieldnames!r}", path, 1)
         for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise GazeParseError(f"expected {len(_GVA_TABLE_HEADER)} fields", path, line_no)
             try:
                 out.append(
                     GvaTableRow(
@@ -403,11 +475,25 @@ def write_models_json(path: str, models: Mapping) -> None:
 
 
 def load_models_json(path: str) -> dict[str, ParticipantModel]:
+    """Read a models file written by ``write_models_json``; at least one model.
+
+    Keys are participant ids, suffixed ``:<environment>`` for per-environment
+    models. A file of any other shape raises :class:`GazeParseError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise GazeParseError(f"invalid models JSON: {exc}", path) from None
+    entries = doc.get("models") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise GazeParseError('expected an object whose "models" is a non-empty list', path)
     out: dict[str, ParticipantModel] = {}
-    for entry in doc.get("models", []):
-        model = ParticipantModel.from_dict(entry)
+    for i, entry in enumerate(entries):
+        try:
+            model = ParticipantModel.from_dict(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GazeParseError(f"bad model entry {i}: {type(exc).__name__}: {exc}", path) from None
         key = model.participant_id
         if "environment" in entry:
             key = f"{key}:{entry['environment']}"

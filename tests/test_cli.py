@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import trial_from_gva
 from vergescope import dataio
 from vergescope.cli import main
 
@@ -187,3 +188,104 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+
+GAZE_ROW = ["0.0", "1.0", "1.0"] + ["0.0", "0.0", "0.0", "0.0", "0.0", "1.0"] * 2
+GVA_TABLE_HEADER = (
+    "participant_id,environment,trial_id,start_depth_m,end_depth_m,status,"
+    "gva_mean_deg,valid_fraction,valid,landolt_correct\n"
+)
+GOOD_MODELS = {"models": [{"participant_id": "p01", "intercept_deg": 17.5, "slope_deg_per_diopter": 1.7,
+                           "residual_sd_deg": 0.0, "n_points": 4}]}
+
+
+def _gaze_rows(*rows):
+    return ",".join(dataio.GAZE_CSV_HEADER) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _with_field(i, value):
+    row = list(GAZE_ROW)
+    row[i] = value
+    return row
+
+
+def _one_trial_dataset(root, gaze_text):
+    """A dataset of one manifest and one gaze file holding ``gaze_text``."""
+    (root / "manifests").mkdir(parents=True)
+    (root / "gaze").mkdir()
+    (root / "gaze" / "t000.csv").write_text(gaze_text)
+    trial = trial_from_gva([10.0] * 4)
+    dataio.write_manifest(str(root / "manifests" / "p01_Real.json"), [trial], ["../gaze/t000.csv"], [0.25, 4.0])
+    return str(root)
+
+
+# name -> (subcommand, {option: file text or None for a missing path}, extra argv, stdin text)
+MALFORMED_CLI = {
+    "preprocess_truncated_gaze": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW)[:-25])}, [], None),
+    "preprocess_wrong_header": ("preprocess", {"--in": ("dataset", "t,l_conf\n" + ",".join(GAZE_ROW) + "\n")}, [], None),
+    "preprocess_nan_time": ("preprocess", {"--in": ("dataset", _gaze_rows(_with_field(0, "nan")))}, [], None),
+    "preprocess_missing_dir": ("preprocess", {"--in": None}, [], None),
+    "fit_truncated_table": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,4.0\n"}, ["--out", "OUT"], None),
+    "fit_wrong_header": ("fit", {"--gva-table": "a,b\n1,2\n"}, ["--out", "OUT"], None),
+    "fit_bad_value": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,x,0.25,valid,10.0,1.0,true,true\n"},
+                      ["--out", "OUT"], None),
+    "analyze_truncated_subjective": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (
+        "participant_id,environment,depth_m,report_value,unit,repetition\np01,Real,1.0\n")},
+        ["--logratio", "--out", "OUT"], None),
+    "analyze_models_list": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": json.dumps(GOOD_MODELS["models"])},
+                            ["--out", "OUT"], None),
+    "analyze_models_empty_object": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": "{}"}, ["--out", "OUT"], None),
+    "analyze_models_missing_key": ("analyze", {"--gva-table": GVA_TABLE_HEADER,
+                                               "--models": json.dumps({"models": [{"participant_id": "p01"}]})},
+                                   ["--out", "OUT"], None),
+    "estimate_models_list": ("estimate", {"--model": json.dumps(GOOD_MODELS["models"])}, [], ""),
+    "estimate_models_empty_object": ("estimate", {"--model": "{}"}, [], ""),
+    "estimate_models_empty_list": ("estimate", {"--model": json.dumps({"models": []})}, [], ""),
+    "estimate_models_missing_key": ("estimate", {"--model": json.dumps({"models": [{"participant_id": "p01"}]})}, [], ""),
+    "estimate_models_not_json": ("estimate", {"--model": "{models"}, [], ""),
+    "estimate_conf_above_one": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [],
+                                _gaze_rows(_with_field(1, "1.5"))),
+    "estimate_nan_time": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(0, "nan"))),
+    "estimate_inf_time": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(0, "inf"))),
+    "estimate_non_monotone_time": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [],
+                                   _gaze_rows(_with_field(0, "2.0"), _with_field(0, "1.0"))),
+    "estimate_inf_vector": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(8, "-inf"))),
+    "estimate_fourteen_fields": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(GAZE_ROW[:14])),
+    "estimate_unparseable": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(4, "x"))),
+}
+
+
+class TestMalformedInputContract:
+    """Every malformed input exits 2 with exactly one JSON error line and no traceback."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CLI))
+    def test_exit_2_with_one_json_line(self, tmp_path, name):
+        command, files, extra, stdin = MALFORMED_CLI[name]
+        argv = [command]
+        for option, content in files.items():
+            if content is None:
+                argv += [option, str(tmp_path / "missing")]
+            elif isinstance(content, tuple):
+                argv += [option, _one_trial_dataset(tmp_path / content[0], content[1])]
+            else:
+                path = tmp_path / option.strip("-")
+                path.write_text(content)
+                argv += [option, str(path)]
+        argv += [str(tmp_path / "out") if a == "OUT" else a for a in extra]
+        r = run_cli(*argv, input_text=stdin)
+        assert r.returncode == 2, (r.returncode, r.stderr)
+        assert "Traceback" not in r.stderr
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1, r.stderr
+        doc = json.loads(lines[0])
+        assert set(doc) == {"error"} and doc["error"]["type"] and doc["error"]["message"]
+        if "_models_" in name:  # one schema check names the models file, not a later symptom
+            assert doc["error"]["type"] == "GazeParseError"
+
+    def test_estimate_row_error_matches_batch_reader(self, tmp_path):
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(GOOD_MODELS))
+        r = run_cli("estimate", "--model", str(model_path), input_text=_gaze_rows(GAZE_ROW, _with_field(2, "1.5")))
+        assert r.returncode == 2
+        doc = json.loads(r.stderr)
+        assert doc["error"] == {"type": "GazeParseError", "message": "r_conf 1.5 outside [0, 1] [<stdin>:3]"}
