@@ -16,7 +16,7 @@ import sys
 from . import dataio
 from .analysis import run_analysis
 from .calibration import GvaObservation, estimate_depth, fit_participants
-from .errors import VergescopeError
+from .errors import GazeParseError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_dataset
 from .recording import GazeSeries
 from .report import render_analysis
@@ -30,16 +30,27 @@ def _effective_seed(args) -> int:
     return args.seed
 
 
+def _load_json_object(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise GazeParseError(f"expected a JSON object at the top level, got {type(doc).__name__}", path)
+    return doc
+
+
 def _cmd_simulate(args) -> int:
     design = ExperimentDesign()
     cohort = CohortConfig()
     if args.design:
-        with open(args.design, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if "design" in doc:
-            design = ExperimentDesign.from_dict(doc["design"])
-        if "cohort" in doc:
-            cohort = CohortConfig.from_dict(doc["cohort"])
+        doc = _load_json_object(args.design)
+        blocks = [doc[key] for key in ("design", "cohort") if key in doc]
+        if not blocks or not all(isinstance(block, dict) for block in blocks):
+            raise GazeParseError('expected a "design" and/or a "cohort" object', args.design)
+        try:
+            design = ExperimentDesign.from_dict(doc.get("design", {}))
+            cohort = CohortConfig.from_dict(doc.get("cohort", {}))
+        except TypeError as exc:
+            raise GazeParseError(f"bad design file: {exc}", args.design) from None
     seed = _effective_seed(args)
     dataset = simulate_cohort(design, cohort, seed)
     dataio.write_dataset(args.out, dataset)
@@ -185,8 +196,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.analysis, "r", encoding="utf-8") as fh:
-        analysis = json.load(fh)
+    analysis = _load_json_object(args.analysis)
     written = render_analysis(analysis, args.out)
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0

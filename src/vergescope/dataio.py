@@ -6,11 +6,16 @@ structured travels as JSON. Report JSON floats are fixed at nine significant
 digits so repeated runs are byte-identical; gaze CSV floats use ``repr`` so
 emit/parse round-trips are lossless.
 
-``parse_gaze_csv`` first reads a whole file as one table (``float()`` on every
-field, then the schema checks as array masks). Any file that this fast path
-cannot tokenise exactly as ``csv.reader`` would, or that fails a check, goes
-to the record-by-record reader ``_parse_gaze_csv_lines``, which is the only
-place that raises, so every error names the same message, path and line.
+``write_gaze_csv`` formats the table column by column: a column whose 64-bit
+patterns are all equal (a simulated trial's eye origins) gets one ``repr``
+reused for every row, so ``-0.0`` and ``0.0`` never share a string.
+``parse_gaze_csv`` first reads a whole file as one table, column by column: a
+column whose tokens are all the same string gets one ``float()``, every other
+field its own, then the schema checks run as array masks. Any file that this
+fast path cannot tokenise exactly as ``csv.reader`` would, or that fails a
+check or a conversion, goes to the record-by-record reader
+``_parse_gaze_csv_lines``, which is the only place that raises, so every
+error names the same message, path and line.
 """
 
 from __future__ import annotations
@@ -111,8 +116,18 @@ def write_gaze_csv(path: str, series: GazeSeries) -> None:
     table = np.column_stack(
         (series.t_s, series.l_conf, series.r_conf, series.l_origin, series.l_dir, series.r_origin, series.r_dir)
     )
+    n = len(table)
     lines = [_GAZE_CSV_HEADER_LINE]
-    lines.extend([",".join(map(repr, row)) for row in table.tolist()])
+    if n:
+        # A column whose 64-bit patterns are all equal is formatted once;
+        # comparing bits keeps -0.0 apart from 0.0.
+        bits = table.view(np.uint64)
+        constant = (bits == bits[0]).all(axis=0).tolist()
+        columns = [
+            [repr(col[0].item())] * n if same else map(repr, col.tolist())
+            for col, same in zip(table.T, constant)
+        ]
+        lines.extend(map(",".join, zip(*columns)))
     lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\r\n".join(lines))
@@ -168,7 +183,8 @@ def _gaze_table_fast(path: str) -> np.ndarray | None:
 
     Accepts exactly the files ``_parse_gaze_csv_lines`` accepts, minus any it
     cannot tokenise the way ``csv.reader`` does (quotes, lone CR, lines longer
-    than the csv field limit); every value goes through ``float()``.
+    than the csv field limit). Every field goes through ``float()``, once per
+    column where all of the column's tokens are the same string.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -193,8 +209,15 @@ def _gaze_table_fast(path: str) -> np.ndarray | None:
     if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
         return None
     fields = ",".join(body).split(",")
+    n = len(body)
+    table = np.empty((n, n_fields))
     try:
-        table = np.fromiter(map(float, fields), dtype=float, count=len(fields)).reshape(len(body), n_fields)
+        for j in range(n_fields):
+            tokens = fields[j::n_fields]
+            if tokens[0] == tokens[-1] and tokens.count(tokens[0]) == n:
+                table[:, j] = float(tokens[0])
+            else:
+                table[:, j] = np.fromiter(map(float, tokens), dtype=float, count=n)
     except ValueError:
         return None
     t, conf = table[:, 0], table[:, 1:3]

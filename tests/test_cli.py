@@ -252,6 +252,18 @@ MALFORMED_CLI = {
     "estimate_inf_vector": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(8, "-inf"))),
     "estimate_fourteen_fields": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(GAZE_ROW[:14])),
     "estimate_unparseable": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(4, "x"))),
+    "report_analysis_list": ("report", {"--analysis": "[]"}, ["--out", "OUT"], None),
+    "report_analysis_scalar": ("report", {"--analysis": "3"}, ["--out", "OUT"], None),
+    # The simulator rejects --seed -1, so a design file whose shape goes
+    # unchecked fails at once with a ValueError instead of simulating the
+    # default cohort.
+    "simulate_design_list": ("simulate", {"--design": json.dumps([DESIGN_DOC])}, ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_no_blocks": ("simulate", {"--design": json.dumps({"designs": DESIGN_DOC["design"]})},
+                                  ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_block_list": ("simulate", {"--design": json.dumps({"design": [2, 1]})},
+                                   ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_unknown_key": ("simulate", {"--design": json.dumps({"cohort": {"noise_sd": 0.4}})},
+                                    ["--seed", "-1", "--out", "OUT"], None),
 }
 
 
@@ -279,7 +291,8 @@ class TestMalformedInputContract:
         assert len(lines) == 1, r.stderr
         doc = json.loads(lines[0])
         assert set(doc) == {"error"} and doc["error"]["type"] and doc["error"]["message"]
-        if "_models_" in name:  # one schema check names the models file, not a later symptom
+        if any(part in name for part in ("_models_", "_design_", "_analysis_")):
+            # One shape check names the input file, not a later symptom.
             assert doc["error"]["type"] == "GazeParseError"
 
     def test_estimate_row_error_matches_batch_reader(self, tmp_path):

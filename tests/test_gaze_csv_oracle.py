@@ -90,6 +90,54 @@ def awkward_series():
     return GazeSeries(t_s, l_origin, l_dir, series.r_origin, r_dir, series.l_conf, r_conf)
 
 
+def series_of(table):
+    """The series whose columns, in gaze-CSV order, are those of ``table``."""
+    return GazeSeries(
+        table[:, 0], table[:, 3:6], table[:, 6:9], table[:, 9:12], table[:, 12:15], table[:, 1], table[:, 2]
+    )
+
+
+def assert_round_trip_matches_references(tmp_path, series):
+    """Same bytes as the reference writer, read back on the fast path, bit for bit."""
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    dataio.write_gaze_csv(str(fast), series)
+    reference_write_gaze_csv(str(ref), series)
+    assert fast.read_bytes() == ref.read_bytes()
+    assert dataio._gaze_table_fast(str(fast)) is not None
+    kind, back = assert_readers_agree(str(fast))
+    assert kind == "ok"
+    assert_series_bitwise_equal(back, series)
+
+
+def _constant_column_tables():
+    base = np.column_stack(
+        [np.arange(5) / 200.0, np.full((5, 2), 0.95), np.tile([-0.032, 0.0, 0.0], (5, 1)),
+         np.linspace(0.1, 0.2, 15).reshape(5, 3), np.tile([0.032, 0.0, 0.0], (5, 1)),
+         np.linspace(-0.2, -0.1, 15).reshape(5, 3)]
+    )
+    all_nan = base.copy()
+    all_nan[:, 7] = np.nan
+    signed_zero = base.copy()
+    signed_zero[:, 4] = [0.0, -0.0, 0.0, 0.0, -0.0]
+    signed_zero[:, 10] = [-0.0] * 4 + [0.0]
+    payloads = base.copy()
+    bits = np.full(5, np.nan).view(np.uint64) | np.arange(5, dtype=np.uint64)
+    payloads[:, 13] = bits.view(np.float64)
+    every_column = np.tile(base[2], (4, 1))
+    return {
+        "constant_columns": base,
+        "all_nan_column": all_nan,
+        "mixed_signed_zero": signed_zero,
+        "nan_payloads": payloads,
+        "every_column_constant": every_column,
+        "one_row": base[:1].copy(),
+        "zero_rows": base[:0].copy(),
+    }
+
+
+CONSTANT_COLUMN_TABLES = _constant_column_tables()
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_simulated_cohort_files_identical(self, tmp_path, seed):
@@ -121,6 +169,10 @@ class TestWriterBytes:
         assert fast.read_bytes() == ref.read_bytes() == (HEADER + "\r\n").encode()
         assert len(dataio.parse_gaze_csv(str(fast))) == 0
 
+    @pytest.mark.parametrize("name", sorted(CONSTANT_COLUMN_TABLES))
+    def test_constant_column_series_identical(self, tmp_path, name):
+        assert_round_trip_matches_references(tmp_path, series_of(CONSTANT_COLUMN_TABLES[name]))
+
     def test_lines_end_with_crlf(self, tmp_path):
         path = tmp_path / "g.csv"
         dataio.write_gaze_csv(str(path), series_from_gva(np.full(3, 10.0)))
@@ -144,6 +196,18 @@ def gaze_tables(draw):
     table = np.column_stack(
         [t, np.reshape(conf, (n, 2)), np.reshape(vec, (n, 12))]
     ) if n else np.zeros((0, 15))
+    return table
+
+
+# A value for each column that is valid there in every row.
+column_value = [st.floats(-1e6, 1e6), unit, unit] + [vector_value] * 12
+
+
+@st.composite
+def tables_with_constant_columns(draw):
+    table = draw(gaze_tables())
+    for j in draw(st.sets(st.integers(0, 14))):
+        table[:, j] = draw(column_value[j])
     return table
 
 
@@ -173,15 +237,32 @@ class TestReaderOracle:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=gaze_tables())
     def test_parsed_arrays_match_line_reader(self, tmp_path, table):
-        series = GazeSeries(
-            table[:, 0], table[:, 3:6], table[:, 6:9], table[:, 9:12], table[:, 12:15], table[:, 1], table[:, 2]
-        )
+        series = series_of(table)
         path = tmp_path / "g.csv"
         reference_write_gaze_csv(str(path), series)
         assert dataio._gaze_table_fast(str(path)) is not None
         kind, back = assert_readers_agree(str(path))
         assert kind == "ok"
         assert_series_bitwise_equal(back, series)
+
+    # Vector values near 1e308 overflow the norm behind GazeSeries.gva_deg.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables_with_constant_columns())
+    def test_constant_columns_write_and_parse_like_references(self, tmp_path, table):
+        assert_round_trip_matches_references(tmp_path, series_of(table))
+
+    # Vector values near 1e308 overflow the norm behind GazeSeries.gva_deg.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables_with_constant_columns(), column=st.integers(0, 14), token=tokens)
+    def test_identical_token_column_agrees(self, tmp_path, table, column, token):
+        rows = [list(map(repr, row)) for row in table.tolist()]
+        for row in rows:
+            row[column] = token
+        path = tmp_path / "g.csv"
+        path.write_bytes(("\r\n".join([HEADER] + [",".join(r) for r in rows]) + "\r\n").encode())
+        assert_readers_agree(str(path))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=mutated_files())
@@ -249,6 +330,18 @@ class TestMalformedTable:
             assert kind == "ok"
         else:
             assert kind == "raised" and issubclass(result[0], expected), result
+
+    @pytest.mark.parametrize(
+        "column,token,message", [(4, "x", "unparseable l_oy value 'x'"), (2, "1.5", "r_conf 1.5 outside [0, 1]")]
+    )
+    def test_identical_bad_tokens_fail_on_the_first_line(self, tmp_path, column, token, message):
+        path = tmp_path / "same.csv"
+        path.write_text(body(*[with_field(column, token, with_field(0, str(i))) for i in range(3)]))
+        assert dataio._gaze_table_fast(str(path)) is None
+        with pytest.raises(GazeParseError) as err:
+            dataio.parse_gaze_csv(str(path))
+        assert err.value.line == 2
+        assert str(err.value) == f"{message} [{path}:2]"
 
     def test_line_numbers_survive_the_fallback(self, tmp_path):
         path = tmp_path / "late.csv"

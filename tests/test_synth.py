@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vergescope.calibration import fit_participant
 from vergescope.errors import DomainError
@@ -15,6 +17,7 @@ from vergescope.synth import (
     NoiseModel,
     PhysiologyParams,
     TrialSpec,
+    _place_artifacts,
     generate_sequence,
     implied_response_line,
     simulate_cohort,
@@ -212,3 +215,69 @@ class TestSimulateCohort:
         ds = simulate_cohort(design, CohortConfig(), seed=8)
         _, report = preprocess_dataset(ds.trials)
         assert 10.0 < report.percent_excluded < 25.0
+
+
+def reference_place_artifacts(rng, n, counts, min_gap=3):
+    """The pairwise-scan placement that the blocked-slot walk replaced."""
+    total = sum(counts)
+    chosen = []
+    if total:
+        for i in rng.permutation(np.arange(1, n - 1)):
+            if all(abs(int(i) - j) >= min_gap for j in chosen):
+                chosen.append(int(i))
+                if len(chosen) == total:
+                    break
+    out = []
+    pos = 0
+    for c in counts:
+        out.append(np.asarray(sorted(chosen[pos : pos + c]), dtype=int))
+        pos += c
+    return out
+
+
+def assert_placement_matches_reference(seed, n, counts, min_gap):
+    rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = _place_artifacts(rng_fast, n, counts, min_gap)
+    ref = reference_place_artifacts(rng_ref, n, counts, min_gap)
+    assert len(fast) == len(ref)
+    for a, b in zip(fast, ref):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    # Both consumed the same draws, so the stream continues identically.
+    assert rng_fast.integers(2**63) == rng_ref.integers(2**63)
+
+
+class TestPlaceArtifactsOracle:
+    @pytest.mark.parametrize("min_gap", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "n,counts",
+        [
+            (700, [7, 1, 1]),  # a simulated trial's default rates
+            (700, [0, 0, 0]),
+            (700, [0, 3, 0]),
+            (40, [30, 30, 30]),  # more than fit: the later groups come up short
+            (12, [2, 2, 2]),
+            (3, [1, 1, 1]),  # one interior slot
+            (2, [1, 0, 0]),  # no interior slot
+            (0, [1, 0, 0]),
+        ],
+    )
+    def test_matches_reference(self, n, counts, min_gap):
+        for seed in (0, 1, 7, 23):
+            assert_placement_matches_reference(seed, n, counts, min_gap)
+
+    def test_oversubscribed_slots_are_isolated(self):
+        dropouts, spikes, outliers = _place_artifacts(np.random.default_rng(5), 40, [30, 30, 30], 3)
+        chosen = np.sort(np.concatenate([dropouts, spikes, outliers]))
+        assert len(chosen) < 90 and len(outliers) < 30
+        assert np.diff(chosen).min() >= 3 and chosen.min() >= 1 and chosen.max() <= 38
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 300),
+        counts=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+        min_gap=st.integers(1, 5),
+    )
+    def test_property_matches_reference(self, seed, n, counts, min_gap):
+        assert_placement_matches_reference(seed, n, counts, min_gap)
