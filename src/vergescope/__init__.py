@@ -42,7 +42,7 @@ from .pipeline import (
     trial_validity,
     velocity_filter,
 )
-from .recording import BinocularSample, GazeSeries, SampleStatus, TrialRecord
+from .recording import GazeSeries, SampleStatus, TrialRecord
 from .synth import (
     CohortConfig,
     EnvironmentEffect,

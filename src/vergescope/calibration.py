@@ -23,6 +23,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .stats import ModelFormula, ols_fit
+from .stats.linmod import qr_solve
 
 __all__ = [
     "ParticipantModel",
@@ -91,9 +92,9 @@ def fit_participant(points: Sequence[tuple[float, float]], participant_id: str =
     g = np.asarray([p[1] for p in points], dtype=float)
     if np.ptp(d) == 0.0:
         raise RankDeficiencyError("all calibration points share one diopter value")
-    x = np.column_stack([np.ones_like(d), d])
-    q, r = np.linalg.qr(x)
-    a, b = np.linalg.solve(r, q.T @ g)
+    # Distinct diopters are the whole rank condition here; the relative rank
+    # tolerance of ols_fit would also refuse nearly equal diopter values.
+    a, b = qr_solve(np.column_stack([np.ones_like(d), d]), g, check_rank=False)
     resid = g - (a + b * d)
     df = len(points) - 2
     residual_sd = math.sqrt(float(resid @ resid) / df) if df > 0 else 0.0

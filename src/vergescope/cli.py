@@ -16,7 +16,7 @@ import sys
 from . import dataio
 from .analysis import run_analysis
 from .calibration import GvaObservation, estimate_depth, fit_participants
-from .errors import GazeParseError, VergescopeError
+from .errors import GazeParseError, UsageError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_dataset
 from .recording import GazeSeries
 from .report import render_analysis
@@ -67,7 +67,7 @@ def _cmd_preprocess(args) -> int:
         outlier_scope=args.sd_scope,
         fixation=FixationConfig(),
     )
-    processed, validity = preprocess_dataset(trials, config, threads=args.threads)
+    processed, validity = preprocess_dataset(trials, config)
     outdir = args.out or args.indir
     os.makedirs(outdir, exist_ok=True)
     table_path = os.path.join(outdir, "gva_table.csv")
@@ -202,8 +202,15 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors for ``main`` to report instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vergescope",
         description="Depth from binocular gaze vergence: simulation, cleaning, calibration, analysis.",
     )
@@ -222,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-velocity", type=float, default=5000.0)
     p.add_argument("--sd-k", type=float, default=2.5)
     p.add_argument("--sd-scope", choices=["session", "trial"], default="session")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fit", help="fit per-participant calibration models")
@@ -262,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VergescopeError as exc:
         sys.stderr.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")

@@ -5,6 +5,10 @@ class VergescopeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(VergescopeError, ValueError):
+    """A command line that the CLI's argument grammar rejects."""
+
+
 class DegenerateInputError(VergescopeError, ValueError):
     """A geometric input is degenerate (zero-norm vector, target at an eye center)."""
 

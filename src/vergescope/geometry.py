@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DegenerateInputError, DomainError
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "EyeConfig",
     "TargetSpec",
     "vergence_angle",
+    "vergence_angles",
     "ideal_vergence",
     "to_diopters",
     "forward_gaze",
@@ -138,11 +141,28 @@ class TargetSpec:
         return cls(pos, depth_m, 1.0 / depth_m)
 
 
+def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
+    """Angles in degrees between paired rows of two (n, 3) direction arrays.
+
+    Each angle is the arccosine of the row pair's normalized dot product,
+    clipped to [-1, 1]. A row with a zero-norm or NaN vector gives NaN.
+    """
+    nl = np.linalg.norm(l_dir, axis=1)
+    nr = np.linalg.norm(r_dir, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.einsum("ij,ij->i", l_dir, r_dir) / (nl * nr)
+        cos = np.clip(cos, -1.0, 1.0)
+        out = np.degrees(np.arccos(cos))
+    out[(nl == 0.0) | (nr == 0.0)] = np.nan
+    return out
+
+
 def vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool = False) -> float:
     """Angle in degrees between the two eyes' gaze direction vectors.
 
-    Computed as the arccosine of the normalized dot product of the full 3D
-    vectors. ``project_horizontal=True`` zeroes the vertical components first,
+    The one-pair form of :func:`vergence_angles`, the kernel ``GazeSeries``
+    uses, so both give the same bits for the same vectors.
+    ``project_horizontal=True`` zeroes the vertical components first,
     measuring the angle in the horizontal plane only. Result is in [0, 180],
     symmetric in its arguments, and invariant to positive rescaling of either
     vector.
@@ -150,12 +170,9 @@ def vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool 
     if project_horizontal:
         left_dir = Vec3(left_dir.x, 0.0, left_dir.z)
         right_dir = Vec3(right_dir.x, 0.0, right_dir.z)
-    nl, nr = left_dir.norm(), right_dir.norm()
-    if nl == 0.0 or nr == 0.0:
+    if left_dir.norm() == 0.0 or right_dir.norm() == 0.0:
         raise DegenerateInputError("vergence_angle requires nonzero gaze vectors")
-    c = left_dir.dot(right_dir) / (nl * nr)
-    c = max(-1.0, min(1.0, c))
-    return math.degrees(math.acos(c))
+    return float(vergence_angles(np.array([left_dir.as_tuple()]), np.array([right_dir.as_tuple()]))[0])
 
 
 def ideal_vergence(depth_m: float, ipd: float) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -117,7 +116,10 @@ def velocity_filter(trial: TrialRecord, max_velocity: float = 5000.0) -> TrialRe
     g = series.gva_deg
     dt = np.diff(t[candidates])
     if np.any(dt <= 0):
-        raise DomainError("velocity filter requires strictly increasing timestamps")
+        raise DomainError(
+            f"participant {trial.participant_id} environment {trial.environment} trial {trial.trial_id}: "
+            "velocity filter requires strictly increasing timestamps"
+        )
     # Fast path: with no adjacent pair over the limit, the scan cannot trigger.
     adjacent = np.abs(np.diff(g[candidates]) / dt)
     if np.any(adjacent > max_velocity):
@@ -364,25 +366,17 @@ def process_session(trials: Sequence[TrialRecord], config: PipelineConfig | None
 def preprocess_dataset(
     trials: Iterable[TrialRecord],
     config: PipelineConfig | None = None,
-    threads: int = 1,
 ) -> tuple[list[ProcessedTrial], "ValidityReport"]:
     """Clean every trial and compute the hierarchical validity report.
 
-    Sessions (participant, environment) are independent work units; the output
-    is sorted by (participant, environment, trial) and identical for any
-    thread count.
+    Sessions (participant, environment) are independent work units, run one
+    after another; the output is sorted by (participant, environment, trial).
     """
     config = config or PipelineConfig()
     sessions: dict[tuple[str, str], list[TrialRecord]] = defaultdict(list)
     for t in trials:
         sessions[(t.participant_id, t.environment)].append(t)
-    keys = sorted(sessions)
-    if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda k: process_session(sessions[k], config), keys))
-    else:
-        results = [process_session(sessions[k], config) for k in keys]
-    processed = [pt for group in results for pt in group]
+    processed = [pt for k in sorted(sessions) for pt in process_session(sessions[k], config)]
     processed.sort(key=lambda p: (p.participant_id, p.environment, p.trial_id))
     return processed, cascade_validity(processed, config)
 

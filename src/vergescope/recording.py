@@ -1,25 +1,23 @@
 """Sample and trial containers for binocular recordings.
 
 Series are stored column-wise (numpy arrays) so the cleaning cascade can run
-vectorized over full trials; ``BinocularSample`` is the row view. Invalidated
-samples keep their slot in the series so the temporal structure of the raw
-recording is never lost.
+vectorized over full trials. Invalidated samples keep their slot in the series
+so the temporal structure of the raw recording is never lost.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import GazeRay, Vec3
+from .geometry import vergence_angles
 
 __all__ = [
     "SampleStatus",
-    "BinocularSample",
     "GazeSeries",
     "TrialRecord",
     "LANDOLT_DIRECTIONS",
@@ -45,29 +43,6 @@ class SampleStatus:
         MISSING: "missing",
     }
     REASONS = ("low_confidence", "velocity_spike", "outlier", "missing")
-
-
-@dataclass(frozen=True)
-class BinocularSample:
-    """One timestamped eye-tracker sample: left/right rays plus confidences."""
-
-    t_s: float
-    left: GazeRay | None
-    right: GazeRay | None
-    left_conf: float
-    right_conf: float
-    status: str = "valid"
-
-
-def _vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
-    nl = np.linalg.norm(l_dir, axis=1)
-    nr = np.linalg.norm(r_dir, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.einsum("ij,ij->i", l_dir, r_dir) / (nl * nr)
-        cos = np.clip(cos, -1.0, 1.0)
-        out = np.degrees(np.arccos(cos))
-    out[(nl == 0.0) | (nr == 0.0)] = np.nan
-    return out
 
 
 class GazeSeries:
@@ -103,46 +78,12 @@ class GazeSeries:
             status = np.zeros(n, dtype=np.int8)
         self.status = np.asarray(status, dtype=np.int8).copy()
         if gva_deg is None:
-            gva_deg = _vergence_angles(self.l_dir, self.r_dir)
+            gva_deg = vergence_angles(self.l_dir, self.r_dir)
             self.status[np.isnan(gva_deg) & (self.status == SampleStatus.VALID)] = SampleStatus.MISSING
         self.gva_deg = np.asarray(gva_deg, dtype=float)
 
     def __len__(self) -> int:
         return len(self.t_s)
-
-    def __getitem__(self, i: int) -> BinocularSample:
-        missing = self.status[i] == SampleStatus.MISSING
-        return BinocularSample(
-            t_s=float(self.t_s[i]),
-            left=None if missing else GazeRay(Vec3(*self.l_origin[i]), Vec3(*self.l_dir[i])),
-            right=None if missing else GazeRay(Vec3(*self.r_origin[i]), Vec3(*self.r_dir[i])),
-            left_conf=float(self.l_conf[i]),
-            right_conf=float(self.r_conf[i]),
-            status=SampleStatus.NAMES[int(self.status[i])],
-        )
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[BinocularSample]) -> "GazeSeries":
-        rows = list(samples)
-        n = len(rows)
-        t = np.empty(n)
-        lo = np.full((n, 3), np.nan)
-        ld = np.full((n, 3), np.nan)
-        ro = np.full((n, 3), np.nan)
-        rd = np.full((n, 3), np.nan)
-        lc = np.empty(n)
-        rc = np.empty(n)
-        for i, s in enumerate(rows):
-            t[i] = s.t_s
-            lc[i] = s.left_conf
-            rc[i] = s.right_conf
-            if s.left is not None:
-                lo[i] = s.left.origin.as_tuple()
-                ld[i] = s.left.direction.as_tuple()
-            if s.right is not None:
-                ro[i] = s.right.origin.as_tuple()
-                rd[i] = s.right.direction.as_tuple()
-        return cls(t, lo, ld, ro, rd, lc, rc)
 
     def copy(self) -> "GazeSeries":
         return GazeSeries(

@@ -21,6 +21,7 @@ __all__ = [
     "FitResult",
     "ModelComparison",
     "ols_fit",
+    "qr_solve",
     "f_test_from_r2",
     "nested_f_test",
     "stepwise_refine",
@@ -62,6 +63,21 @@ class ModelComparison:
     p_value: float
 
 
+def qr_solve(x: np.ndarray, y: np.ndarray, *, check_rank: bool = True) -> np.ndarray:
+    """Least-squares coefficients of ``y`` on the columns of ``x`` via QR.
+
+    With ``check_rank`` a numerically singular ``x`` raises RankDeficiencyError
+    before the solve; without it only an exactly singular R fails.
+    """
+    q, r = np.linalg.qr(x)
+    if check_rank:
+        n, k = x.shape
+        diag = np.abs(np.diag(r))
+        if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
+            raise RankDeficiencyError("design matrix is rank deficient")
+    return np.linalg.solve(r, q.T @ y)
+
+
 def ols_fit(
     data: Mapping[str, Sequence],
     formula: ModelFormula | str,
@@ -82,11 +98,7 @@ def ols_fit(
     n, k = x.shape
     if n <= k:
         raise RankDeficiencyError(f"need more rows ({n}) than coefficients ({k})")
-    q, r = np.linalg.qr(x)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= max(n, k) * np.finfo(float).eps * diag.max():
-        raise RankDeficiencyError("design matrix is rank deficient")
-    beta = np.linalg.solve(r, q.T @ y)
+    beta = qr_solve(x, y)
     resid = y - x @ beta
     rss = float(resid @ resid)
     tss = float(np.sum((y - y.mean()) ** 2))

@@ -433,7 +433,7 @@ def test_c10_cli_determinism(tmp_path):
         work = tmp_path / f"work_{tag}"
         steps = [
             ["simulate", "--design", str(design_path), "--seed", "4242", "--out", str(data)],
-            ["preprocess", "--in", str(data), "--out", str(work), "--threads", "2"],
+            ["preprocess", "--in", str(data), "--out", str(work)],
             ["fit", "--gva-table", str(work / "gva_table.csv"), "--out", str(work / "models.json")],
             [
                 "analyze",

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from vergescope.calibration import (
     GvaObservation,
@@ -21,6 +23,28 @@ from vergescope.errors import (
 from vergescope.stats import ModelFormula, ols_fit
 
 DIOPTERS = (0.25, 2.0 / 3.0, 4.0 / 3.0, 4.0)
+
+
+def reference_fit_participant(points, participant_id=""):
+    """``fit_participant`` with its own QR solve, as it was before sharing ``qr_solve``."""
+    if len(points) < 2:
+        raise RankDeficiencyError(f"need >= 2 calibration points, got {len(points)}")
+    d = np.asarray([p[0] for p in points], dtype=float)
+    g = np.asarray([p[1] for p in points], dtype=float)
+    if np.ptp(d) == 0.0:
+        raise RankDeficiencyError("all calibration points share one diopter value")
+    x = np.column_stack([np.ones_like(d), d])
+    q, r = np.linalg.qr(x)
+    a, b = np.linalg.solve(r, q.T @ g)
+    resid = g - (a + b * d)
+    df = len(points) - 2
+    residual_sd = math.sqrt(float(resid @ resid) / df) if df > 0 else 0.0
+    return ParticipantModel(
+        participant_id, float(a), float(b), residual_sd, len(points), float(d.min()), float(d.max())
+    )
+
+
+POINT_SETS = st.lists(st.tuples(st.floats(0.05, 20.0), st.floats(-100.0, 100.0)), min_size=2, max_size=12)
 
 
 class TestFitParticipant:
@@ -61,6 +85,34 @@ class TestFitParticipant:
         model = fit_participant([(d, a + b * d) for d in DIOPTERS])
         assert model.intercept_deg == pytest.approx(a, abs=1e-8)
         assert model.slope_deg_per_d == pytest.approx(b, abs=1e-9)
+
+
+class TestFitParticipantOracle:
+    """``fit_participant`` and ``ols_fit`` share one QR solve; the old inline fit is the reference."""
+
+    @given(POINT_SETS)
+    @example([(0.25, 1.0), (4.0, 2.0)])
+    @example([(1.0, 5.0), (1.0, 6.0)])
+    @example([(0.5, 3.0), (0.5000000000000001, 4.0)])
+    def test_bitwise_equal_to_reference(self, points):
+        try:
+            expected = reference_fit_participant(points, "p01")
+        except RankDeficiencyError as exc:
+            with pytest.raises(RankDeficiencyError, match=str(exc)):
+                fit_participant(points, "p01")
+            return
+        # repr round-trips a double exactly, so equal reprs are equal bits.
+        assert repr(fit_participant(points, "p01")) == repr(expected)
+
+    @given(POINT_SETS.filter(lambda pts: len(pts) > 2))
+    def test_line_coefficients_equal_ols_fit(self, points):
+        d = [p[0] for p in points]
+        assume(np.ptp(d) > 1e-6)
+        fit = ols_fit({"gva": [p[1] for p in points], "d": d}, "gva ~ d")
+        model = fit_participant(points)
+        assert repr((model.intercept_deg, model.slope_deg_per_d)) == repr(
+            (fit.coefficients["intercept"], fit.coefficients["d"])
+        )
 
 
 class TestNormalize:

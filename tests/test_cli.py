@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import trial_from_gva
 from vergescope import dataio
 from vergescope.cli import main
+from vergescope.recording import GazeSeries
 
 DESIGN_DOC = {
     "design": {"n_participants": 2, "repetitions": 6, "response_window_s": 2.2, "post_response_dwell_s": 0.4},
@@ -45,7 +47,7 @@ def pipeline_dirs(tmp_path_factory):
     work = base / "work"
     r = run_cli("simulate", "--design", str(design_path), "--seed", "17", "--out", str(data))
     assert r.returncode == 0, r.stderr
-    r = run_cli("preprocess", "--in", str(data), "--out", str(work), "--threads", "2")
+    r = run_cli("preprocess", "--in", str(data), "--out", str(work))
     assert r.returncode == 0, r.stderr
     r = run_cli("fit", "--gva-table", str(work / "gva_table.csv"), "--out", str(work / "models.json"))
     assert r.returncode == 0, r.stderr
@@ -145,7 +147,7 @@ class TestDeterminism:
             data = tmp_path / f"data_{tag}"
             work = tmp_path / f"work_{tag}"
             assert run_cli("simulate", "--design", str(design_path), "--seed", "99", "--out", str(data)).returncode == 0
-            assert run_cli("preprocess", "--in", str(data), "--out", str(work), "--threads", "3").returncode == 0
+            assert run_cli("preprocess", "--in", str(data), "--out", str(work)).returncode == 0
             assert run_cli("fit", "--gva-table", str(work / "gva_table.csv"), "--out", str(work / "models.json")).returncode == 0
             assert run_cli(
                 "analyze",
@@ -264,6 +266,11 @@ MALFORMED_CLI = {
                                    ["--seed", "-1", "--out", "OUT"], None),
     "simulate_design_unknown_key": ("simulate", {"--design": json.dumps({"cohort": {"noise_sd": 0.4}})},
                                     ["--seed", "-1", "--out", "OUT"], None),
+    # Command lines the argument grammar rejects.
+    "preprocess_usage_threads": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))}, ["--threads", "2"], None),
+    "estimate_usage_unknown_flag": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--bogus"], ""),
+    "simulate_usage_seed_not_int": ("simulate", {}, ["--seed", "x", "--out", "OUT"], None),
+    "fit_usage_missing_out": ("fit", {"--gva-table": GVA_TABLE_HEADER}, [], None),
 }
 
 
@@ -294,6 +301,29 @@ class TestMalformedInputContract:
         if any(part in name for part in ("_models_", "_design_", "_analysis_")):
             # One shape check names the input file, not a later symptom.
             assert doc["error"]["type"] == "GazeParseError"
+        if "_usage_" in name:
+            assert doc["error"]["type"] == "UsageError"
+
+    def test_repeated_timestamp_names_the_trial(self, tmp_path, capsys):
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps({"design": {"n_participants": 1, "repetitions": 1}}))
+        data = tmp_path / "data"
+        assert main(["simulate", "--design", str(design_path), "--seed", "3", "--out", str(data)]) == 0
+        gaze = str(data / "gaze" / "p01_Real" / "t000.csv")
+        s = dataio.parse_gaze_csv(gaze)
+        kept = (np.minimum(s.l_conf, s.r_conf) >= 0.75) & ~np.isnan(s.gva_deg)
+        i = int(np.flatnonzero(kept[:-1] & kept[1:])[0])
+        t = s.t_s.copy()
+        t[i + 1] = t[i]
+        dataio.write_gaze_csv(gaze, GazeSeries(t, s.l_origin, s.l_dir, s.r_origin, s.r_dir, s.l_conf, s.r_conf))
+        assert dataio.parse_gaze_csv(gaze).t_s[i + 1] == t[i]  # the reader accepts the repeat
+        capsys.readouterr()
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "DomainError",
+            "message": "participant p01 environment Real trial t000: "
+            "velocity filter requires strictly increasing timestamps",
+        }
 
     def test_estimate_row_error_matches_batch_reader(self, tmp_path):
         model_path = tmp_path / "m.json"

@@ -16,6 +16,7 @@ from vergescope.geometry import (
     to_diopters,
     vergence_angle,
 )
+from vergescope.synth import CohortConfig, ExperimentDesign, simulate_cohort
 
 IPD = 0.0648
 
@@ -65,6 +66,41 @@ class TestVergenceAngle:
         # arccos conditioning near 0/180 deg bounds the achievable agreement
         assert a == pytest.approx(vergence_angle(left.scaled(k), right), abs=2e-5)
         assert 0.0 <= a <= 180.0
+
+
+def reference_vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool = False) -> float:
+    """The scalar acos maths ``vergence_angle`` used before it wrapped the array kernel."""
+    if project_horizontal:
+        left_dir = Vec3(left_dir.x, 0.0, left_dir.z)
+        right_dir = Vec3(right_dir.x, 0.0, right_dir.z)
+    nl, nr = left_dir.norm(), right_dir.norm()
+    c = left_dir.dot(right_dir) / (nl * nr)
+    c = max(-1.0, min(1.0, c))
+    return math.degrees(math.acos(c))
+
+
+class TestVergenceKernelOracle:
+    def test_bitwise_equal_to_gaze_series(self):
+        dataset = simulate_cohort(ExperimentDesign(n_participants=1, repetitions=1), CohortConfig(), seed=7)
+        checked = 0
+        for trial in dataset.trials[:20]:
+            s = trial.samples
+            rows = np.flatnonzero(~np.isnan(s.gva_deg))
+            angles = [vergence_angle(Vec3(*s.l_dir[i]), Vec3(*s.r_dir[i])) for i in rows]
+            np.testing.assert_array_equal(np.array(angles).view(np.uint64), s.gva_deg[rows].view(np.uint64))
+            checked += len(rows)
+        assert checked > 10_000
+
+    @given(
+        st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1),
+        st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1),
+        st.booleans(),
+    )
+    def test_matches_scalar_reference(self, lx, ly, lz, rx, ry, rz, horizontal):
+        left, right = Vec3(lx, ly, lz), Vec3(rx, ry, rz)
+        expected = reference_vergence_angle(left, right, project_horizontal=horizontal)
+        # the tolerance of the scale-invariance property above: arccos near 0/180 deg
+        assert vergence_angle(left, right, project_horizontal=horizontal) == pytest.approx(expected, abs=2e-5)
 
 
 class TestIdealVergence:

@@ -11,7 +11,6 @@ from vergescope.pipeline import (
     confidence_filter,
     detect_fixation_onset,
     outlier_filter,
-    preprocess_dataset,
     process_session,
     session_gva_stats,
     trial_mean_gva,
@@ -20,7 +19,6 @@ from vergescope.pipeline import (
 )
 from vergescope.recording import SampleStatus
 from vergescope.synth import (
-    CohortConfig,
     ExperimentDesign,
     NoiseModel,
     PhysiologyParams,
@@ -380,19 +378,6 @@ class TestCascadeValidity:
 
 
 class TestPreprocessDataset:
-    def small_dataset(self):
-        from vergescope.synth import simulate_cohort
-
-        design = ExperimentDesign(n_participants=2, repetitions=1)
-        return simulate_cohort(design, CohortConfig(), seed=3).trials
-
-    def test_thread_count_does_not_change_output(self):
-        trials = self.small_dataset()
-        seq, rep_seq = preprocess_dataset(trials, threads=1)
-        par, rep_par = preprocess_dataset(trials, threads=4)
-        assert [p.__dict__ for p in seq] == [p.__dict__ for p in par]
-        assert rep_seq.to_dict() == rep_par.to_dict()
-
     def test_session_stats_pool_trials(self):
         trials = [
             trial_from_gva(np.full(100, 5.0)),
