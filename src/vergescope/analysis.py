@@ -17,13 +17,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .calibration import (
-    GvaObservation,
     ParticipantModel,
     environment_offsets,
     fit_participants,
     normalize_gva,
 )
-from .errors import DomainError
+from .errors import DomainError, VarianceShareError
+from .pipeline import validity_gate
 from .stats import (
     FitResult,
     ModelFormula,
@@ -42,7 +42,6 @@ from .synth import SubjectiveReport
 
 __all__ = [
     "ConditionCell",
-    "retained_participants",
     "condition_means",
     "stability_means",
     "attach_normalized",
@@ -79,35 +78,6 @@ class ConditionCell:
         return abs(1.0 / self.start_depth_m - 1.0 / self.end_depth_m)
 
 
-def retained_participants(
-    rows: Sequence,
-    min_valid_trials_per_pair: int = 3,
-    min_valid_pairs_per_environment: int = 6,
-    required_valid_environments: int = 3,
-) -> list[str]:
-    """Participants surviving the pair/environment/participant validity gates."""
-    pair_counts: dict[tuple[str, str, tuple[float, float]], int] = defaultdict(int)
-    environments: dict[str, set[str]] = defaultdict(set)
-    for r in rows:
-        environments[r.participant_id].add(r.environment)
-        if r.valid:
-            pair_counts[(r.participant_id, r.environment, (r.start_depth_m, r.end_depth_m))] += 1
-    valid_pairs: dict[tuple[str, str], int] = defaultdict(int)
-    for (pid, env, _pair), n in pair_counts.items():
-        if n >= min_valid_trials_per_pair:
-            valid_pairs[(pid, env)] += 1
-    out = []
-    for pid in sorted(environments):
-        n_envs = sum(
-            1
-            for env in environments[pid]
-            if valid_pairs.get((pid, env), 0) >= min_valid_pairs_per_environment
-        )
-        if n_envs >= required_valid_environments:
-            out.append(pid)
-    return out
-
-
 def _mean_cells(rows: Iterable, key_start: bool) -> list[ConditionCell]:
     groups: dict[tuple, list[float]] = defaultdict(list)
     for r in rows:
@@ -140,30 +110,33 @@ def stability_means(rows: Iterable) -> list[ConditionCell]:
 def attach_normalized(
     cells: Sequence[ConditionCell], models: Mapping[str, ParticipantModel]
 ) -> list[ConditionCell]:
-    out = []
-    for c in cells:
-        model = models[c.participant_id]
-        obs = normalize_gva(
-            GvaObservation(c.participant_id, c.environment, c.end_depth_d, c.gva_deg), model
-        )
-        out.append(
-            ConditionCell(
-                c.participant_id,
-                c.environment,
-                c.start_depth_m,
-                c.end_depth_m,
-                c.gva_deg,
-                c.n_trials,
-                normalized_gva_deg=obs.normalized_gva_deg,
-            )
-        )
-    return out
+    return [normalize_gva(c, models[c.participant_id]) for c in cells]
 
 
-def _chain_rows(chain: Sequence[tuple[str, FitResult]], complete: FitResult) -> list[dict]:
+def _response(cells: Sequence[ConditionCell], normalized: bool) -> list[float]:
+    values = [c.normalized_gva_deg if normalized else c.gva_deg for c in cells]
+    if None in values:
+        raise DomainError("normalized analysis requested but cells are not normalized")
+    return values
+
+
+def _chain(
+    head: Sequence[tuple[str, FitResult]], fm: FitResult, rm: FitResult | None
+) -> tuple[dict[str, FitResult], list[dict]]:
+    """The printed chain: the head models, fm unless it repeats one of them, then rm.
+
+    Each row is F-tested against the row above it, except rm, which is tested
+    against fm, the model it reduces (printed or not); the error variance
+    comes from the first head model. Returns the models by tag and the rows.
+    """
+    chain = list(head)
+    if all(fm.formula.terms != fit.formula.terms for _, fit in head):
+        chain.append(("fm", fm))
+    if rm is not None:
+        chain.append(("rm", rm))
+    complete = head[0][1]
     rows = []
-    prev: FitResult | None = None
-    for tag, fit in chain:
+    for i, (tag, fit) in enumerate(chain):
         row = {
             "model": tag,
             "formula": fit.formula.to_string(),
@@ -175,12 +148,13 @@ def _chain_rows(chain: Sequence[tuple[str, FitResult]], complete: FitResult) -> 
             "p_label": None,
             "p_class": None,
         }
-        if prev is not None:
+        if i:
+            larger = fm if tag == "rm" else chain[i - 1][1]
             delta_df, f, p = f_test_from_r2(
                 fit.r_squared,
                 fit.residual_df,
-                prev.r_squared,
-                prev.residual_df,
+                larger.r_squared,
+                larger.residual_df,
                 complete.r_squared,
                 complete.residual_df,
             )
@@ -188,29 +162,15 @@ def _chain_rows(chain: Sequence[tuple[str, FitResult]], complete: FitResult) -> 
                 delta_df=-delta_df, f=f, p=p, p_label=format_p(p), p_class=classify_p(p)
             )
         rows.append(row)
-        prev = fit
-    return rows
+    return dict(chain), rows
 
 
-def _reduce_once(data, fit: FitResult, complete: FitResult, levels) -> FitResult | None:
-    """The least-harmful single-term reduction of ``fit`` (the printed 'rm' row)."""
-    droppable = fit.formula.droppable_terms()
-    if not droppable:
-        return None
-    best = None
-    for term in droppable:
-        reduced = ols_fit(data, fit.formula.without(term), levels)
-        _, _, p = f_test_from_r2(
-            reduced.r_squared,
-            reduced.residual_df,
-            fit.r_squared,
-            fit.residual_df,
-            complete.r_squared,
-            complete.residual_df,
-        )
-        if best is None or p > best[0]:
-            best = (p, reduced)
-    return best[1]
+def _shares(models: Mapping[str, FitResult], defs: Sequence[ShareDef]) -> dict[str, float]:
+    """Variance shares in percent; empty when a denominator model explains nothing."""
+    try:
+        return {k: 100.0 * v for k, v in variance_attribution(models, defs).items()}
+    except VarianceShareError:
+        return {}
 
 
 def _terms_with(formula: ModelFormula, name: str) -> bool:
@@ -229,64 +189,40 @@ def analyze_depth_environment(
     by backward stepwise elimination, reduces the fitted model once more, and
     attributes explained variance between end depth and environment following
     the table-footer conventions of the corresponding analysis."""
-    response = "normalized_gva_deg" if normalized else "gva_deg"
-    values = []
-    for c in cells:
-        v = c.normalized_gva_deg if normalized else c.gva_deg
-        if v is None:
-            raise DomainError("normalized analysis requested but cells are not normalized")
-        values.append(v)
     data = {
-        "gva": values,
+        "gva": _response(cells, normalized),
         "end_depth_d": [c.end_depth_d for c in cells],
         "environment": [c.environment for c in cells],
     }
     levels = {"environment": [e for e in ENVIRONMENTS if e in set(data["environment"])]}
-    complete_formula = ModelFormula.parse("gva ~ end_depth_d * environment")
-    cm = ols_fit(data, complete_formula, levels)
-    fm, trace = stepwise_refine(data, complete_formula, criterion=criterion, alpha=alpha, levels=levels)
-    rm = _reduce_once(data, fm, cm, levels)
-    chain: list[tuple[str, FitResult]] = [("cm", cm)]
-    if fm.formula.terms != cm.formula.terms:
-        chain.append(("fm", fm))
-    if rm is not None:
-        chain.append(("rm", rm))
-    models = {tag: fit for tag, fit in chain}
+    fm, trace = stepwise_refine(
+        data, "gva ~ end_depth_d * environment", criterion=criterion, alpha=alpha, levels=levels
+    )
+    cm = trace.complete
+    models, rows = _chain([("cm", cm)], fm, trace.reduced())
     attribution = {}
     convention = None
-    try:
-        if "fm" in models and _terms_with(fm.formula, "environment") and "rm" in models:
-            # Fitted model keeps environment: shares against the fitted model.
-            convention = "within_fitted"
-            attribution = variance_attribution(
-                models,
-                [
-                    ShareDef("end_depth", "rm", None, "fm"),
-                    ShareDef("environment", "fm", "rm", "fm"),
-                ],
-            )
-        elif "fm" in models:
-            # Environment family dropped outright: shares against the complete model.
-            convention = "within_complete"
-            attribution = variance_attribution(
-                models,
-                [
-                    ShareDef("end_depth", "fm", None, "cm"),
-                    ShareDef("environment", "cm", "fm", "cm"),
-                ],
-            )
-    except Exception:
-        attribution = {}
-    result = {
-        "response": response,
-        "rows": _chain_rows(chain, cm),
+    if "fm" in models and _terms_with(fm.formula, "environment") and "rm" in models:
+        # Fitted model keeps environment: shares against the fitted model.
+        convention = "within_fitted"
+        attribution = _shares(
+            models, [ShareDef("end_depth", "rm", None, "fm"), ShareDef("environment", "fm", "rm", "fm")]
+        )
+    elif "fm" in models:
+        # Environment family dropped outright: shares against the complete model.
+        convention = "within_complete"
+        attribution = _shares(
+            models, [ShareDef("end_depth", "fm", None, "cm"), ShareDef("environment", "cm", "fm", "cm")]
+        )
+    return {
+        "response": "normalized_gva_deg" if normalized else "gva_deg",
+        "rows": rows,
         "fitted_formula": fm.formula.to_string(),
         "fitted_coefficients": fm.coefficients,
-        "attribution": {k: 100.0 * v for k, v in attribution.items()},
+        "attribution": attribution,
         "attribution_convention": convention,
         "n": cm.n,
     }
-    return result
 
 
 def _depth_label(depth_m: float) -> str:
@@ -306,15 +242,9 @@ def analyze_stability(
     response the printed chain interposes a second complete model with every
     switching-depth term removed, isolating that predictor's contribution.
     """
-    values = []
-    for c in cells:
-        v = c.normalized_gva_deg if normalized else c.gva_deg
-        if v is None:
-            raise DomainError("normalized analysis requested but cells are not normalized")
-        values.append(v)
     depth_levels = sorted({c.end_depth_m for c in cells})
     data = {
-        "gva": values,
+        "gva": _response(cells, normalized),
         "switch_depth_d": [c.switch_depth_d for c in cells],
         "end_depth": [_depth_label(c.end_depth_m) for c in cells],
         "environment": [c.environment for c in cells],
@@ -324,26 +254,17 @@ def analyze_stability(
         "end_depth": [_depth_label(d) for d in depth_levels],
     }
     cm1_formula = ModelFormula.parse("gva ~ switch_depth_d * end_depth * environment")
-    cm1 = ols_fit(data, cm1_formula, levels)
-    cm2_formula = ModelFormula(
-        "gva", tuple(t for t in cm1_formula.terms if "switch_depth_d" not in t)
-    )
-    cm2 = ols_fit(data, cm2_formula, levels)
-    fm, _ = stepwise_refine(data, cm1_formula, criterion=criterion, alpha=alpha, levels=levels)
-    rm = _reduce_once(data, fm, cm1, levels)
-    if normalized:
-        chain: list[tuple[str, FitResult]] = [("cm1", cm1), ("cm2", cm2)]
-    else:
-        chain = [("cm", cm1)]
-    if fm.formula.terms not in (cm1.formula.terms, cm2.formula.terms):
-        chain.append(("fm", fm))
-    if rm is not None:
-        chain.append(("rm", rm))
-    models = dict(chain)
+    fm, trace = stepwise_refine(data, cm1_formula, criterion=criterion, alpha=alpha, levels=levels)
+    cm1 = trace.complete
     attribution = {}
-    if normalized and "rm" in models and "fm" in models:
-        try:
-            attribution = variance_attribution(
+    if normalized:
+        cm2_formula = ModelFormula(
+            "gva", tuple(t for t in cm1_formula.terms if "switch_depth_d" not in t)
+        )
+        cm2 = ols_fit(data, cm2_formula, levels)
+        models, rows = _chain([("cm1", cm1), ("cm2", cm2)], fm, trace.reduced())
+        if "rm" in models and "fm" in models:
+            attribution = _shares(
                 models,
                 [
                     ShareDef("end_depth", "rm", None, "cm1"),
@@ -351,14 +272,14 @@ def analyze_stability(
                     ShareDef("switch_depth", "cm1", "cm2", "cm1"),
                 ],
             )
-        except Exception:
-            attribution = {}
+    else:
+        _, rows = _chain([("cm", cm1)], fm, trace.reduced())
     return {
         "response": "normalized_gva_deg" if normalized else "gva_deg",
-        "rows": _chain_rows(chain, cm1),
+        "rows": rows,
         "fitted_formula": fm.formula.to_string(),
         "switch_depth_retained": _terms_with(fm.formula, "switch_depth_d"),
-        "attribution": {k: 100.0 * v for k, v in attribution.items()},
+        "attribution": attribution,
         "n": cm1.n,
     }
 
@@ -403,29 +324,20 @@ def analyze_veridicality(
     }
     env_levels = sorted({r.environment for r in rows})
     levels = {"environment": env_levels, "measure": ["gva", "subjective"]}
-    cm_formula = ModelFormula.parse("log_ratio ~ end_depth_d * environment * measure")
-    cm = ols_fit(data, cm_formula, levels)
-    fm, _ = stepwise_refine(data, cm_formula, criterion=criterion, alpha=alpha, levels=levels)
-    rm = _reduce_once(data, fm, cm, levels)
-    chain: list[tuple[str, FitResult]] = [("cm", cm)]
-    if fm.formula.terms != cm.formula.terms:
-        chain.append(("fm", fm))
-    if rm is not None:
-        chain.append(("rm", rm))
-    models = dict(chain)
+    cm_formula = "log_ratio ~ end_depth_d * environment * measure"
+    fm, trace = stepwise_refine(data, cm_formula, criterion=criterion, alpha=alpha, levels=levels)
+    cm = trace.complete
+    models, chain_rows = _chain([("cm", cm)], fm, trace.reduced())
     attribution = {}
     if {"cm", "fm", "rm"} <= set(models):
-        try:
-            attribution = variance_attribution(
-                models,
-                [
-                    ShareDef("measure", "rm", None, "cm"),
-                    ShareDef("environment", "fm", "rm", "fm"),
-                    ShareDef("end_depth", "cm", "fm", "cm"),
-                ],
-            )
-        except Exception:
-            attribution = {}
+        attribution = _shares(
+            models,
+            [
+                ShareDef("measure", "rm", None, "cm"),
+                ShareDef("environment", "fm", "rm", "fm"),
+                ShareDef("end_depth", "cm", "fm", "cm"),
+            ],
+        )
     mean_ratios: dict[str, dict[str, float]] = defaultdict(dict)
     for measure in ("gva", "subjective"):
         for env in env_levels:
@@ -447,9 +359,9 @@ def analyze_veridicality(
             correlations[env] = {"r": r, "r_squared_percent": 100.0 * r2, "n": len(xs)}
 
     return {
-        "rows": _chain_rows(chain, cm),
+        "rows": chain_rows,
         "fitted_formula": fm.formula.to_string(),
-        "attribution": {k: 100.0 * v for k, v in attribution.items()},
+        "attribution": attribution,
         "n": cm.n,
         "mean_log_ratios": {k: dict(v) for k, v in mean_ratios.items()},
         "ratio_factors": {
@@ -482,7 +394,7 @@ def run_analysis(
     required_valid_environments: int = 3,
 ) -> dict:
     """Run the standard analysis battery over a preprocessed trial table."""
-    retained = retained_participants(
+    _, retained = validity_gate(
         table_rows,
         min_valid_trials_per_pair,
         min_valid_pairs_per_environment,
@@ -493,12 +405,7 @@ def run_analysis(
         raise DomainError("no valid trials from retained participants")
     cells = condition_means(rows)
     if models is None:
-        models = fit_participants(
-            [
-                GvaObservation(c.participant_id, c.environment, c.end_depth_d, c.gva_deg)
-                for c in cells
-            ]
-        )
+        models = fit_participants(cells)
     cells = attach_normalized(cells, models)
     out: dict = {
         "n_analyzed_trials": len(rows),
@@ -526,16 +433,7 @@ def run_analysis(
         out["normalized"] = analyze_depth_environment(cells, True, criterion, alpha)
         try:
             out["environment_offsets"] = environment_offsets(
-                [
-                    GvaObservation(
-                        c.participant_id,
-                        c.environment,
-                        c.end_depth_d,
-                        c.gva_deg,
-                        c.normalized_gva_deg,
-                    )
-                    for c in cells
-                ],
+                cells,
                 environments=[e for e in ENVIRONMENTS if any(c.environment == e for c in cells)],
             )
         except DomainError:

@@ -113,7 +113,11 @@ def fit_participants(
     observations: Iterable[GvaObservation],
     by_environment: bool = False,
 ) -> dict:
-    """Fit one model per participant (default) or per (participant, environment)."""
+    """Fit one model per participant (default) or per (participant, environment).
+
+    Reads ``participant_id``, ``environment``, ``end_depth_d`` and ``gva_deg``
+    only, so ``analysis.ConditionCell``s are accepted as they are.
+    """
     groups: dict = defaultdict(list)
     for obs in observations:
         key = (obs.participant_id, obs.environment) if by_environment else obs.participant_id
@@ -126,7 +130,7 @@ def fit_participants(
 
 
 def normalize_gva(obs: GvaObservation, model: ParticipantModel) -> GvaObservation:
-    """Subtract the participant's fitted intercept from the observation."""
+    """Subtract the participant's fitted intercept from the observation (or condition cell)."""
     if obs.participant_id != model.participant_id:
         raise ParticipantMismatchError(
             f"observation for {obs.participant_id!r} paired with model for {model.participant_id!r}"
@@ -170,7 +174,8 @@ def environment_offsets(
     Fits ``gva ~ end_depth_d + environment`` with the first environment as
     reference and reports each environment's intercept relative to the common
     one plus the pairwise differences against the reference. Raises
-    MissingLevelError when any requested environment has no data.
+    MissingLevelError when any requested environment has no data. Like
+    ``fit_participants``, it accepts ``analysis.ConditionCell``s as they are.
     """
     present = {obs.environment for obs in observations}
     missing = [e for e in environments if e not in present]

@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import dataio
-from .analysis import run_analysis
-from .calibration import GvaObservation, estimate_depth, fit_participants
+from .analysis import condition_means, run_analysis
+from .calibration import estimate_depth, fit_participants
 from .errors import GazeParseError, UsageError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_dataset
 from .recording import GazeSeries
@@ -81,26 +81,12 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _observations(rows):
-    return [
-        GvaObservation(r.participant_id, r.environment, r.end_depth_d, r.gva_mean_deg)
-        for r in rows
-        if r.valid and r.gva_mean_deg is not None
-    ]
-
-
 def _cmd_fit(args) -> int:
     rows = dataio.parse_gva_table_csv(args.gva_table)
     cells_rows = [r for r in rows if r.valid]
     if not cells_rows:
         raise VergescopeError("no valid trials in the table")
-    from .analysis import condition_means
-
-    cells = condition_means(cells_rows)
-    models = fit_participants(
-        [GvaObservation(c.participant_id, c.environment, c.end_depth_d, c.gva_deg) for c in cells],
-        by_environment=args.per_environment,
-    )
+    models = fit_participants(condition_means(cells_rows), by_environment=args.per_environment)
     dataio.write_models_json(args.out, models)
     print(f"fitted {len(models)} model(s) -> {args.out}")
     return 0
@@ -202,6 +188,25 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _bounded(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, refused unless ``ok`` holds for it (NaN never passes)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_FRACTION = _bounded(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_POSITIVE = _bounded(float, lambda v: v > 0.0, "a number above 0")
+_ALPHA = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_COUNT = _bounded(int, lambda v: v >= 0, "a count of 0 or more")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors for ``main`` to report instead of printing usage and exiting."""
 
@@ -225,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="clean a dataset into a per-trial table")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--confidence", type=float, default=0.75)
-    p.add_argument("--max-velocity", type=float, default=5000.0)
-    p.add_argument("--sd-k", type=float, default=2.5)
+    p.add_argument("--confidence", type=_FRACTION, default=0.75)
+    p.add_argument("--max-velocity", type=_POSITIVE, default=5000.0)
+    p.add_argument("--sd-k", type=_POSITIVE, default=2.5)
     p.add_argument("--sd-scope", choices=["session", "trial"], default="session")
     p.set_defaults(func=_cmd_preprocess)
 
@@ -245,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logratio", action="store_true")
     p.add_argument("--subjective", default=None)
     p.add_argument("--criterion", choices=["f_test", "aic"], default="f_test")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--min-pair-trials", type=int, default=3, help="valid trials required per depth pair")
-    p.add_argument("--min-env-pairs", type=int, default=6, help="valid pairs required per environment")
-    p.add_argument("--min-environments", type=int, default=3, help="valid environments required per participant")
+    p.add_argument("--alpha", type=_ALPHA, default=0.05)
+    p.add_argument("--min-pair-trials", type=_COUNT, default=3, help="valid trials required per depth pair")
+    p.add_argument("--min-env-pairs", type=_COUNT, default=6, help="valid pairs required per environment")
+    p.add_argument("--min-environments", type=_COUNT, default=3, help="valid environments required per participant")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_analyze)
 
@@ -256,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--participant", default=None)
     p.add_argument("--stream", action="store_true", help="flush after every output line")
-    p.add_argument("--confidence", type=float, default=0.75)
-    p.add_argument("--max-velocity", type=float, default=5000.0)
+    p.add_argument("--confidence", type=_FRACTION, default=0.75)
+    p.add_argument("--max-velocity", type=_POSITIVE, default=5000.0)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("report", help="render SVG plots and text tables from an analysis")

@@ -34,6 +34,7 @@ __all__ = [
     "ProcessedTrial",
     "process_session",
     "preprocess_dataset",
+    "validity_gate",
     "cascade_validity",
     "ValidityReport",
 ]
@@ -66,9 +67,7 @@ class PipelineConfig:
     window_length_s: float = 1.0
     min_valid_fraction: float = 0.5
     min_valid_trials_per_pair: int = 3
-    trials_per_pair: int = 6
     min_valid_pairs_per_environment: int = 6
-    pairs_per_environment: int = 12
     required_valid_environments: int = 3
     fixation: FixationConfig = field(default_factory=FixationConfig)
 
@@ -312,10 +311,6 @@ class ProcessedTrial:
     def direction(self) -> str:
         return "converge" if self.end_depth_m < self.start_depth_m else "diverge"
 
-    @property
-    def pair(self) -> str:
-        return depth_pair_label(self.start_depth_m, self.end_depth_m)
-
 
 def _finish_trial(trial: TrialRecord, config: PipelineConfig) -> ProcessedTrial:
     status = "ok"
@@ -426,14 +421,51 @@ class ValidityReport:
         }
 
 
-def cascade_validity(processed: Sequence[ProcessedTrial], config: PipelineConfig | None = None) -> ValidityReport:
-    """Apply the hierarchical gates: depth pairs, environments, participants.
+def validity_gate(
+    rows: Iterable,
+    min_valid_trials_per_pair: int = 3,
+    min_valid_pairs_per_environment: int = 6,
+    required_valid_environments: int = 3,
+) -> tuple[dict[str, dict], list[str]]:
+    """The hierarchical gates: depth pairs, environments, participants.
 
-    A depth pair is valid with at least ``min_valid_trials_per_pair`` valid
-    trials, an environment with at least ``min_valid_pairs_per_environment``
-    valid pairs, a participant with ``required_valid_environments`` valid
-    environments.
+    A depth pair (keyed by ``depth_pair_label``) is valid with at least
+    ``min_valid_trials_per_pair`` valid trials, an environment with at least
+    ``min_valid_pairs_per_environment`` valid pairs, a participant with
+    ``required_valid_environments`` valid environments. ``rows`` are trials
+    or table rows. Returns the nested verdicts per participant and the sorted
+    retained participant ids.
     """
+    pair_valid: dict[tuple[str, str, str], dict] = {}
+    for r in rows:
+        key = (r.participant_id, r.environment, depth_pair_label(r.start_depth_m, r.end_depth_m))
+        rec = pair_valid.setdefault(key, {"n_trials": 0, "n_valid": 0})
+        rec["n_trials"] += 1
+        rec["n_valid"] += int(r.valid)
+    participants: dict[str, dict] = {}
+    for (pid, env, pair), rec in sorted(pair_valid.items()):
+        rec["valid"] = rec["n_valid"] >= min_valid_trials_per_pair
+        env_block = participants.setdefault(pid, {"environments": {}})["environments"].setdefault(
+            env, {"pairs": {}}
+        )
+        env_block["pairs"][pair] = rec
+    retained = []
+    for pid in sorted(participants):
+        envs = participants[pid]["environments"]
+        for env, block in envs.items():
+            n_valid_pairs = sum(p["valid"] for p in block["pairs"].values())
+            block["n_valid_pairs"] = n_valid_pairs
+            block["valid"] = n_valid_pairs >= min_valid_pairs_per_environment
+        n_valid_envs = sum(block["valid"] for block in envs.values())
+        participants[pid]["n_valid_environments"] = n_valid_envs
+        participants[pid]["valid"] = n_valid_envs >= required_valid_environments
+        if participants[pid]["valid"]:
+            retained.append(pid)
+    return participants, retained
+
+
+def cascade_validity(processed: Sequence[ProcessedTrial], config: PipelineConfig | None = None) -> ValidityReport:
+    """Exclusion accounting plus the ``validity_gate`` verdicts at ``config``'s thresholds."""
     config = config or PipelineConfig()
     by_status: dict[str, int] = defaultdict(int)
     total_samples = 0
@@ -472,31 +504,12 @@ def cascade_validity(processed: Sequence[ProcessedTrial], config: PipelineConfig
             "percent_valid": 100.0 * n_valid / len(env_trials) if env_trials else 0.0,
         }
 
-    pair_valid: dict[tuple[str, str, str], dict] = {}
-    for p in processed:
-        key = (p.participant_id, p.environment, p.pair)
-        rec = pair_valid.setdefault(key, {"n_trials": 0, "n_valid": 0})
-        rec["n_trials"] += 1
-        rec["n_valid"] += int(p.valid)
-    participants: dict[str, dict] = {}
-    for (pid, env, pair), rec in sorted(pair_valid.items()):
-        rec["valid"] = rec["n_valid"] >= config.min_valid_trials_per_pair
-        env_block = participants.setdefault(pid, {"environments": {}})["environments"].setdefault(
-            env, {"pairs": {}}
-        )
-        env_block["pairs"][pair] = rec
-    retained = []
-    for pid in sorted(participants):
-        envs = participants[pid]["environments"]
-        for env, block in envs.items():
-            n_valid_pairs = sum(p["valid"] for p in block["pairs"].values())
-            block["n_valid_pairs"] = n_valid_pairs
-            block["valid"] = n_valid_pairs >= config.min_valid_pairs_per_environment
-        n_valid_envs = sum(block["valid"] for block in envs.values())
-        participants[pid]["n_valid_environments"] = n_valid_envs
-        participants[pid]["valid"] = n_valid_envs >= config.required_valid_environments
-        if participants[pid]["valid"]:
-            retained.append(pid)
+    participants, retained = validity_gate(
+        processed,
+        config.min_valid_trials_per_pair,
+        config.min_valid_pairs_per_environment,
+        config.required_valid_environments,
+    )
 
     landolt_all = [p.landolt_correct for p in processed]
     landolt_env = {

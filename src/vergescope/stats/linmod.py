@@ -189,6 +189,15 @@ class StepwiseTrace:
     def formulas(self) -> list[ModelFormula]:
         return [s.formula for s in self.steps]
 
+    def reduced(self) -> FitResult | None:
+        """The least harmful single-term reduction of the refined model.
+
+        That is the highest-``p`` candidate of the last step (the first of
+        tied ones), or None when the refined model has no droppable term.
+        """
+        candidates = self.steps[-1].candidates
+        return max(candidates, key=lambda c: c["p"])["fit"] if candidates else None
+
 
 def stepwise_refine(
     data: Mapping[str, Sequence],
@@ -204,7 +213,10 @@ def stepwise_refine(
     against the current model, error variance from the complete model) is
     removed while its p exceeds ``alpha``. Under ``aic``, the drop that most
     lowers AIC is taken while any drop lowers it. Returns the refined fit and
-    the full trace of candidate evaluations.
+    the full trace of candidate evaluations: each candidate records its
+    ``term``, its ``fit``, that fit's ``r_squared`` and the ``f`` and ``p`` of
+    its F test against the current model under either criterion, plus its
+    ``aic`` under ``aic``.
     """
     if isinstance(complete_formula, str):
         complete_formula = ModelFormula.parse(complete_formula)
@@ -220,18 +232,17 @@ def stepwise_refine(
         best: tuple[float, Term, FitResult] | None = None
         for term in droppable:
             reduced = ols_fit(data, current.formula.without(term), levels)
+            cmp = nested_f_test(reduced, current, complete)
+            candidate = {
+                "term": term, "fit": reduced, "r_squared": reduced.r_squared, "f": cmp.f_stat, "p": cmp.p_value
+            }
             if criterion == "f_test":
-                cmp = nested_f_test(reduced, current, complete)
-                step.candidates.append(
-                    {"term": term, "r_squared": reduced.r_squared, "f": cmp.f_stat, "p": cmp.p_value}
-                )
                 score = cmp.p_value
                 keep = best is None or score > best[0]
             else:
-                aic = _aic(reduced)
-                step.candidates.append({"term": term, "r_squared": reduced.r_squared, "aic": aic})
-                score = aic
+                score = candidate["aic"] = _aic(reduced)
                 keep = best is None or score < best[0]
+            step.candidates.append(candidate)
             if keep:
                 best = (score, term, reduced)
         assert best is not None

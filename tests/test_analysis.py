@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vergescope.analysis import (
+    analyze_stability,
+    attach_normalized,
     condition_means,
-    retained_participants,
     run_analysis,
     stability_means,
 )
 from vergescope.calibration import fit_participants, GvaObservation
 from vergescope.dataio import GvaTableRow
-from vergescope.pipeline import preprocess_dataset
+from vergescope.pipeline import preprocess_dataset, validity_gate
+from vergescope.stats import f_test_from_r2
 from vergescope.synth import (
     CohortConfig,
     ExperimentDesign,
@@ -65,14 +69,42 @@ class TestRetention:
                     rows.append(table_row(pid, env, start, end, 10.0, valid=i < valid_per_pair))
         return rows
 
+    def retained(self, rows):
+        return validity_gate(rows)[1]
+
     def test_fully_valid_participant_retained(self):
-        assert retained_participants(self.full_rows()) == ["p01"]
+        assert self.retained(self.full_rows()) == ["p01"]
 
     def test_two_environments_not_enough(self):
-        assert retained_participants(self.full_rows(skip_env="VR")) == []
+        assert self.retained(self.full_rows(skip_env="VR")) == []
 
     def test_sparse_pairs_fail_gate(self):
-        assert retained_participants(self.full_rows(valid_per_pair=2)) == []
+        assert self.retained(self.full_rows(valid_per_pair=2)) == []
+
+
+class TestStabilityChain:
+    def test_rm_is_tested_against_the_hidden_fitted_model(self):
+        # A switching-depth effect in VR at 0.25 m keeps the full three-way
+        # model, so fm equals cm1 and is not printed; rm reduces fm and is
+        # F-tested against it, not against cm2, which does not contain it.
+        ds = simulate_cohort(ExperimentDesign(n_participants=2, repetitions=1), CohortConfig(), seed=3)
+        processed, _ = preprocess_dataset(ds.trials)
+        models = fit_participants(condition_means(processed))
+        cells = [
+            replace(c, normalized_gva_deg=c.normalized_gva_deg + 3.0 * c.switch_depth_d)
+            if c.environment == "VR" and c.end_depth_m == 0.25
+            else c
+            for c in attach_normalized(stability_means(processed), models)
+        ]
+        result = analyze_stability(cells, normalized=True)
+        rows = {r["model"]: r for r in result["rows"]}
+        assert list(rows) == ["cm1", "cm2", "rm"]
+        assert result["fitted_formula"] == rows["cm1"]["formula"]
+        cm1, rm = rows["cm1"], rows["rm"]
+        delta_df, f, p = f_test_from_r2(
+            rm["r_squared"], rm["res_df"], cm1["r_squared"], cm1["res_df"], cm1["r_squared"], cm1["res_df"]
+        )
+        assert (rm["delta_df"], rm["f"], rm["p"]) == (-delta_df, f, p)
 
 
 @pytest.fixture(scope="module")

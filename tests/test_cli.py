@@ -271,6 +271,26 @@ MALFORMED_CLI = {
     "estimate_usage_unknown_flag": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--bogus"], ""),
     "simulate_usage_seed_not_int": ("simulate", {}, ["--seed", "x", "--out", "OUT"], None),
     "fit_usage_missing_out": ("fit", {"--gva-table": GVA_TABLE_HEADER}, [], None),
+    # Threshold flags outside their range, which would switch a filter off.
+    "preprocess_usage_confidence_nan": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))},
+                                        ["--confidence", "nan"], None),
+    "preprocess_usage_confidence_above_one": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))},
+                                              ["--confidence", "1.5"], None),
+    "preprocess_usage_max_velocity_zero": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))},
+                                           ["--max-velocity", "0"], None),
+    "preprocess_usage_sd_k_nan": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))}, ["--sd-k", "nan"], None),
+    "analyze_usage_alpha_nan": ("analyze", {"--gva-table": GVA_TABLE_HEADER}, ["--alpha", "nan", "--out", "OUT"], None),
+    "analyze_usage_alpha_one": ("analyze", {"--gva-table": GVA_TABLE_HEADER}, ["--alpha", "1", "--out", "OUT"], None),
+    "analyze_usage_negative_min_pair_trials": ("analyze", {"--gva-table": GVA_TABLE_HEADER},
+                                               ["--min-pair-trials", "-1", "--out", "OUT"], None),
+    "analyze_usage_negative_min_env_pairs": ("analyze", {"--gva-table": GVA_TABLE_HEADER},
+                                             ["--min-env-pairs", "-1", "--out", "OUT"], None),
+    "analyze_usage_negative_min_environments": ("analyze", {"--gva-table": GVA_TABLE_HEADER},
+                                                ["--min-environments", "-2", "--out", "OUT"], None),
+    "estimate_usage_confidence_nan": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--confidence", "nan"],
+                                      _gaze_rows(GAZE_ROW)),
+    "estimate_usage_max_velocity_negative": ("estimate", {"--model": json.dumps(GOOD_MODELS)},
+                                             ["--max-velocity", "-5"], _gaze_rows(GAZE_ROW)),
 }
 
 
