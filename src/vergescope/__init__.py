@@ -8,6 +8,7 @@ validate the whole chain.
 """
 
 from .calibration import (
+    DepthStream,
     GvaObservation,
     ParticipantModel,
     environment_offsets,
@@ -22,7 +23,6 @@ from .geometry import (
     TargetSpec,
     Vec3,
     forward_gaze,
-    gva_velocity,
     ideal_vergence,
     to_diopters,
     vergence_angle,

@@ -4,6 +4,7 @@ The calibration line ``gva = a + b * D`` is fitted per participant in diopter
 space (pooled across environments unless asked otherwise); its inverse maps a
 measured vergence angle back to metric depth. Normalization subtracts the
 fitted intercept, leaving slopes, residuals, and R-squared untouched.
+``DepthStream`` applies the inverse to live gaze rows, behind ``estimate``.
 """
 
 from __future__ import annotations
@@ -11,17 +12,20 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     CalibrationRangeError,
+    DomainError,
     InvalidModelError,
     MissingLevelError,
     ParticipantMismatchError,
     RankDeficiencyError,
+    VergescopeError,
 )
+from .geometry import vergence_angles
 from .stats import ModelFormula, ols_fit
 from .stats.linmod import qr_solve
 
@@ -32,6 +36,7 @@ __all__ = [
     "fit_participants",
     "normalize_gva",
     "estimate_depth",
+    "DepthStream",
     "environment_offsets",
 ]
 
@@ -83,17 +88,17 @@ class GvaObservation:
 def fit_participant(points: Sequence[tuple[float, float]], participant_id: str = "") -> ParticipantModel:
     """Ordinary least-squares line through (diopters, degrees) points.
 
-    Needs at least two points at distinct diopter values. The residual SD uses
-    n - 2 degrees of freedom (zero when the fit is saturated).
+    Needs at least two points whose diopters spread by more than 1e-9 of the
+    largest |diopter|; a slope across a narrower spread is mostly rounding
+    error. The residual SD uses n - 2 degrees of freedom (zero when saturated).
     """
     if len(points) < 2:
         raise RankDeficiencyError(f"need >= 2 calibration points, got {len(points)}")
     d = np.asarray([p[0] for p in points], dtype=float)
     g = np.asarray([p[1] for p in points], dtype=float)
-    if np.ptp(d) == 0.0:
-        raise RankDeficiencyError("all calibration points share one diopter value")
-    # Distinct diopters are the whole rank condition here; the relative rank
-    # tolerance of ols_fit would also refuse nearly equal diopter values.
+    spread = float(np.ptp(d))
+    if spread <= 1e-9 * float(np.abs(d).max()):
+        raise RankDeficiencyError(f"calibration diopters spread by {spread!r} D, too little to fit a slope")
     a, b = qr_solve(np.column_stack([np.ones_like(d), d]), g, check_rank=False)
     resid = g - (a + b * d)
     df = len(points) - 2
@@ -162,6 +167,51 @@ def estimate_depth(gva_deg: float, model: ParticipantModel) -> tuple[float, floa
                 f"[{model.d_min / 2.0:.4f}, {2.0 * model.d_max:.4f}] D"
             )
     return d_hat, 1.0 / d_hat
+
+
+class DepthStream:
+    """Depth estimates for gaze rows pushed in blocks of any size; the split does not change the output.
+
+    A row is dropped when ``min(l_conf, r_conf) < confidence``, when its angle
+    is NaN (NaN or zero-norm vectors), or when it moves faster than
+    ``max_velocity`` deg/s from the last kept row. As in ``velocity_filter``,
+    the rows that reach the velocity gate need strictly increasing timestamps.
+    """
+
+    def __init__(self, model: ParticipantModel, confidence: float = 0.75, max_velocity: float = 5000.0):
+        self.model = model
+        self.confidence = confidence
+        self.max_velocity = max_velocity
+        self._last_t = -math.inf  # the last velocity candidate's timestamp
+        self._kept: tuple[float, float] | None = None  # (t, gva) of the last kept row
+
+    def push(self, rows: Sequence[Sequence[float]]) -> Iterator[tuple[float, float, float]]:
+        """Yield ``(t_s, gva_deg, meters)`` for each kept row of 15 floats in gaze-CSV column order.
+
+        ``meters`` is NaN where ``estimate_depth`` refuses the angle. The rows
+        before a repeated timestamp are yielded before its DomainError.
+        """
+        rows = [row for row in rows if min(row[1], row[2]) >= self.confidence]
+        if not rows:
+            return
+        table = np.array(rows, dtype=float)
+        for row, gva in zip(rows, vergence_angles(table[:, 6:9], table[:, 12:15]).tolist()):
+            if gva != gva:
+                continue
+            t = row[0]
+            if not t > self._last_t:
+                raise DomainError(f"velocity gate requires strictly increasing timestamps: t={t!r} after {self._last_t!r}")
+            self._last_t = t
+            if self._kept is not None:
+                t0, g0 = self._kept
+                if abs((gva - g0) / (t - t0)) > self.max_velocity:
+                    continue
+            self._kept = (t, gva)
+            try:
+                meters = estimate_depth(gva, self.model)[1]
+            except VergescopeError:
+                meters = math.nan
+            yield t, gva, meters
 
 
 def environment_offsets(

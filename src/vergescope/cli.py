@@ -2,7 +2,9 @@
 
 Every subcommand is a deterministic function of its inputs, flags, and seed;
 failures exit nonzero with a one-line JSON error object on stderr. The
-VERGESCOPE_SEED environment variable overrides --seed when set.
+VERGESCOPE_SEED environment variable overrides --seed when set. ``estimate``
+pushes its stdin rows through ``calibration.DepthStream``: each row as it
+arrives with --stream, otherwise blocks of 4,096 rows.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import sys
 
 from . import dataio
 from .analysis import condition_means, run_analysis
-from .calibration import estimate_depth, fit_participants
+from .calibration import DepthStream, fit_participants
 from .errors import GazeParseError, UsageError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_dataset
-from .recording import GazeSeries
 from .report import render_analysis
 from .synth import CohortConfig, ExperimentDesign, simulate_cohort
+
+# Rows per DepthStream push when ``estimate`` runs without --stream.
+ESTIMATE_BLOCK_ROWS = 4096
 
 
 def _effective_seed(args) -> int:
@@ -126,58 +130,47 @@ def _cmd_estimate(args) -> int:
     else:
         raise VergescopeError(f"model file holds {len(models)} models; pass --participant")
 
+    stream = DepthStream(model, args.confidence, args.max_velocity)
+    block_rows = 1 if args.stream else ESTIMATE_BLOCK_ROWS
+    pending: list[list[float]] = []
+    out = sys.stdout
+
+    def drain() -> None:
+        for t, gva, meters in stream.push(pending):
+            out.write(f"{t!r},{gva!r},{meters!r}\n")
+            if args.stream:
+                out.flush()
+        pending.clear()
+
     header = ",".join(dataio.GAZE_CSV_HEADER)
     n_fields = len(dataio.GAZE_CSV_HEADER)
     inf = math.inf
     prev_t = -inf
-    last_valid: tuple[float, float] | None = None
-    out = sys.stdout
     for line_no, raw in enumerate(sys.stdin, start=1):
         line = raw.strip()
         if not line or line == header:
             continue
         fields = line.split(",")
         try:
-            values = [float(v) for v in fields]
+            values = list(map(float, fields))
         except ValueError:
             values = []
         # The batch reader's row rules as plain comparisons; a row that breaks
-        # one is re-parsed by dataio.parse_gaze_row, which raises its error.
+        # one is re-parsed by dataio.parse_gaze_row, which raises its error
+        # once the rows before it are written.
         if (
             len(values) != n_fields
             or not (prev_t <= values[0] < inf and 0.0 <= values[1] <= 1.0 and 0.0 <= values[2] <= 1.0)
             or inf in values
             or -inf in values
         ):
+            drain()
             dataio.parse_gaze_row(fields, "<stdin>", line_no, prev_t)
-        t = prev_t = values[0]
-        conf = min(values[1], values[2])
-        if conf < args.confidence:
-            continue
-        series = GazeSeries(
-            t_s=[t],
-            l_origin=[values[3:6]],
-            l_dir=[values[6:9]],
-            r_origin=[values[9:12]],
-            r_dir=[values[12:15]],
-            l_conf=[values[1]],
-            r_conf=[values[2]],
-        )
-        gva = float(series.gva_deg[0])
-        if gva != gva:  # NaN vectors: unusable sample
-            continue
-        if last_valid is not None:
-            t0, g0 = last_valid
-            if t > t0 and abs((gva - g0) / (t - t0)) > args.max_velocity:
-                continue
-        last_valid = (t, gva)
-        try:
-            _, meters = estimate_depth(gva, model)
-        except VergescopeError:
-            meters = float("nan")
-        out.write(f"{t!r},{gva!r},{meters!r}\n")
-        if args.stream:
-            out.flush()
+        prev_t = values[0]
+        pending.append(values)
+        if len(pending) == block_rows:
+            drain()
+    drain()
     return 0
 
 
@@ -260,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="stream depth estimates for gaze rows on stdin")
     p.add_argument("--model", required=True)
     p.add_argument("--participant", default=None)
-    p.add_argument("--stream", action="store_true", help="flush after every output line")
+    p.add_argument("--stream", action="store_true",
+                   help="process and flush each row as it arrives; without it, rows are processed in blocks of 4,096")
     p.add_argument("--confidence", type=_FRACTION, default=0.75)
     p.add_argument("--max-velocity", type=_POSITIVE, default=5000.0)
     p.set_defaults(func=_cmd_estimate)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "ideal_vergence",
     "to_diopters",
     "forward_gaze",
-    "gva_velocity",
 ]
 
 _NORM_TOL = 1e-9
@@ -221,27 +219,3 @@ def forward_gaze(target: TargetSpec, eyes: EyeConfig, head_yaw: float = 0.0) -> 
             raise DegenerateInputError("target coincides with an eye center")
         rays.append(GazeRay(rotated, to_target))
     return rays[0], rays[1]
-
-
-def gva_velocity(series: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Forward-difference velocity of a vergence-angle time series.
-
-    ``series`` is (t_s, gva_deg) pairs with strictly increasing timestamps;
-    NaN angles mark gaps. Each output entry is timestamped at the later sample
-    of an adjacent valid pair, so no velocity is reported at a gap or across
-    one. Fewer than two adjacent valid samples yields an empty list.
-    """
-    pts: Sequence[tuple[float, float]] = list(series)
-    last_t = None
-    for t, _ in pts:
-        if last_t is not None and not (t > last_t):
-            raise DomainError(f"timestamps must be strictly increasing (t={t})")
-        last_t = t
-    out: list[tuple[float, float]] = []
-    for i in range(1, len(pts)):
-        t0, g0 = pts[i - 1]
-        t1, g1 = pts[i]
-        if math.isnan(g0) or math.isnan(g1):
-            continue
-        out.append((t1, (g1 - g0) / (t1 - t0)))
-    return out

@@ -1,7 +1,30 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vergescope.recording import GazeSeries, TrialRecord
+
+# Selected with --hypothesis-profile ci: no per-example deadline, so a slow
+# runner cannot fail a property on time, and no example database to replay.
+settings.register_profile("ci", deadline=None, database=None)
+
+
+def run_cli(*argv, input_text=None, env=None):
+    full_env = dict(os.environ)
+    if env:
+        full_env.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "vergescope", *argv],
+        capture_output=True,
+        text=True,
+        input=input_text,
+        env=full_env,
+    )
+    return proc
 
 
 def series_from_gva(

@@ -1,12 +1,10 @@
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import trial_from_gva
+from conftest import run_cli, trial_from_gva
 from vergescope import dataio
 from vergescope.cli import main
 from vergescope.recording import GazeSeries
@@ -22,20 +20,6 @@ DESIGN_DOC = {
         }
     },
 }
-
-
-def run_cli(*argv, input_text=None, env=None):
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    proc = subprocess.run(
-        [sys.executable, "-m", "vergescope", *argv],
-        capture_output=True,
-        text=True,
-        input=input_text,
-        env=full_env,
-    )
-    return proc
 
 
 @pytest.fixture(scope="module")

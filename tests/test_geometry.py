@@ -11,7 +11,6 @@ from vergescope.geometry import (
     TargetSpec,
     Vec3,
     forward_gaze,
-    gva_velocity,
     ideal_vergence,
     to_diopters,
     vergence_angle,
@@ -211,34 +210,6 @@ class TestForwardGaze:
         # turning right swings the left eye forward, the right eye back
         assert left.origin.z == pytest.approx(IPD / 2.0, abs=1e-12)
         assert right.origin.z == pytest.approx(-IPD / 2.0, abs=1e-12)
-
-
-class TestGvaVelocity:
-    def test_constant_series(self):
-        series = [(i * 0.005, 5.0) for i in range(10)]
-        out = gva_velocity(series)
-        assert len(out) == 9
-        assert all(v == 0.0 for _, v in out)
-
-    def test_step_velocity(self):
-        series = [(0.0, 10.0), (0.005, 20.0), (0.010, 20.0)]
-        out = gva_velocity(series)
-        assert out[0] == (0.005, pytest.approx(2000.0))
-        assert out[1][1] == pytest.approx(0.0)
-
-    def test_gap_blocks_velocity(self):
-        series = [(0.0, 10.0), (0.005, math.nan), (0.010, 10.0), (0.015, 10.0)]
-        out = gva_velocity(series)
-        # only the adjacent valid pair after the gap produces a velocity
-        assert [t for t, _ in out] == [0.015]
-
-    def test_too_short(self):
-        assert gva_velocity([(0.0, 1.0)]) == []
-        assert gva_velocity([]) == []
-
-    def test_requires_increasing_time(self):
-        with pytest.raises(DomainError):
-            gva_velocity([(0.0, 1.0), (0.0, 2.0)])
 
 
 class TestTypes:
