@@ -24,6 +24,7 @@ from .calibration import (
 )
 from .errors import DomainError, VarianceShareError
 from .pipeline import validity_gate
+from .recording import DepthPair
 from .stats import (
     FitResult,
     ModelFormula,
@@ -56,7 +57,7 @@ ENVIRONMENTS = ("Real", "AR", "VR")
 
 
 @dataclass(frozen=True)
-class ConditionCell:
+class ConditionCell(DepthPair):
     """One averaged observation: a (participant, environment, condition) mean."""
 
     participant_id: str
@@ -66,16 +67,6 @@ class ConditionCell:
     gva_deg: float
     n_trials: int
     normalized_gva_deg: float | None = None
-
-    @property
-    def end_depth_d(self) -> float:
-        return 1.0 / self.end_depth_m
-
-    @property
-    def switch_depth_d(self) -> float:
-        if self.start_depth_m is None:
-            raise DomainError("cell was averaged over start depths")
-        return abs(1.0 / self.start_depth_m - 1.0 / self.end_depth_m)
 
 
 def _mean_cells(rows: Iterable, key_start: bool) -> list[ConditionCell]:
@@ -125,18 +116,19 @@ def _chain(
 ) -> tuple[dict[str, FitResult], list[dict]]:
     """The printed chain: the head models, fm unless it repeats one of them, then rm.
 
-    Each row is F-tested against the row above it, except rm, which is tested
-    against fm, the model it reduces (printed or not); the error variance
-    comes from the first head model. Returns the models by tag and the rows.
+    Each row is F-tested against the nearest model above it whose terms
+    contain its terms, fm included where it is not printed; the error
+    variance comes from the first head model. Returns the printed models by
+    tag and the rows.
     """
-    chain = list(head)
-    if all(fm.formula.terms != fit.formula.terms for _, fit in head):
-        chain.append(("fm", fm))
-    if rm is not None:
-        chain.append(("rm", rm))
+    chain = [*head, ("fm", fm)] + ([("rm", rm)] if rm is not None else [])
+    fm_repeats = any(fm.formula.terms == fit.formula.terms for _, fit in head)
     complete = head[0][1]
-    rows = []
+    printed, rows = {}, []
     for i, (tag, fit) in enumerate(chain):
+        if tag == "fm" and fm_repeats:
+            continue
+        printed[tag] = fit
         row = {
             "model": tag,
             "formula": fit.formula.to_string(),
@@ -149,7 +141,7 @@ def _chain(
             "p_class": None,
         }
         if i:
-            larger = fm if tag == "rm" else chain[i - 1][1]
+            larger = next(up for _, up in reversed(chain[:i]) if up.formula.contains(fit.formula))
             delta_df, f, p = f_test_from_r2(
                 fit.r_squared,
                 fit.residual_df,
@@ -158,17 +150,16 @@ def _chain(
                 complete.r_squared,
                 complete.residual_df,
             )
-            row.update(
-                delta_df=-delta_df, f=f, p=p, p_label=format_p(p), p_class=classify_p(p)
-            )
+            row.update(delta_df=-delta_df, f=f, p=p, p_label=format_p(p), p_class=classify_p(p))
         rows.append(row)
-    return dict(chain), rows
+    return printed, rows
 
 
 def _shares(models: Mapping[str, FitResult], defs: Sequence[ShareDef]) -> dict[str, float]:
-    """Variance shares in percent; empty when a denominator model explains nothing."""
+    """Variance shares in percent, omitting any whose models do not nest; empty when a denominator explains nothing."""
+    nested = [d for d in defs if d.lo is None or models[d.hi].formula.contains(models[d.lo].formula)]
     try:
-        return {k: 100.0 * v for k, v in variance_attribution(models, defs).items()}
+        return {k: 100.0 * v for k, v in variance_attribution(models, nested).items()}
     except VarianceShareError:
         return {}
 

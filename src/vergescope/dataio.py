@@ -16,6 +16,10 @@ fast path cannot tokenise exactly as ``csv.reader`` would, or that fails a
 check or a conversion, goes to the record-by-record reader
 ``_parse_gaze_csv_lines``, which is the only place that raises, so every
 error names the same message, path and line.
+
+The GVA table holds one ``pipeline.ProcessedTrial`` per line, and
+``parse_gva_table_csv`` reads the same type back, without the fixation onset
+and sample counts that the table does not carry.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +51,6 @@ __all__ = [
     "parse_subjective_csv",
     "write_gva_table_csv",
     "parse_gva_table_csv",
-    "GvaTableRow",
     "write_models_json",
     "load_models_json",
     "canonical_json",
@@ -377,49 +379,6 @@ def parse_subjective_csv(path: str) -> list[SubjectiveReport]:
     return out
 
 
-@dataclass(frozen=True)
-class GvaTableRow:
-    """One preprocessed trial as it appears in the analysis table."""
-
-    participant_id: str
-    environment: str
-    trial_id: str
-    start_depth_m: float
-    end_depth_m: float
-    status: str
-    gva_mean_deg: float | None
-    valid_fraction: float
-    valid: bool
-    landolt_correct: bool
-
-    @property
-    def end_depth_d(self) -> float:
-        return 1.0 / self.end_depth_m
-
-    @property
-    def start_depth_d(self) -> float:
-        return 1.0 / self.start_depth_m
-
-    @property
-    def switch_depth_d(self) -> float:
-        return abs(self.start_depth_d - self.end_depth_d)
-
-    @classmethod
-    def from_processed(cls, p: ProcessedTrial) -> "GvaTableRow":
-        return cls(
-            p.participant_id,
-            p.environment,
-            p.trial_id,
-            p.start_depth_m,
-            p.end_depth_m,
-            p.status,
-            p.gva_mean_deg,
-            p.valid_fraction,
-            p.valid,
-            p.landolt_correct,
-        )
-
-
 _GVA_TABLE_HEADER = [
     "participant_id",
     "environment",
@@ -434,13 +393,11 @@ _GVA_TABLE_HEADER = [
 ]
 
 
-def write_gva_table_csv(path: str, rows: Iterable[GvaTableRow | ProcessedTrial]) -> None:
+def write_gva_table_csv(path: str, rows: Iterable[ProcessedTrial]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_GVA_TABLE_HEADER)
         for r in rows:
-            if isinstance(r, ProcessedTrial):
-                r = GvaTableRow.from_processed(r)
             writer.writerow(
                 [
                     r.participant_id,
@@ -457,7 +414,13 @@ def write_gva_table_csv(path: str, rows: Iterable[GvaTableRow | ProcessedTrial])
             )
 
 
-def parse_gva_table_csv(path: str) -> list[GvaTableRow]:
+def parse_gva_table_csv(path: str) -> list[ProcessedTrial]:
+    """Strictly parse a GVA table into rows without onsets or sample counts.
+
+    ``valid`` and ``landolt_correct`` must read ``true`` or ``false``, and a
+    valid row must have a ``gva_mean_deg``; any other row raises
+    :class:`GazeParseError` naming its line.
+    """
     out = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -466,23 +429,20 @@ def parse_gva_table_csv(path: str) -> list[GvaTableRow]:
         for line_no, row in enumerate(reader, start=2):
             if None in row or None in row.values():
                 raise GazeParseError(f"expected {len(_GVA_TABLE_HEADER)} fields", path, line_no)
+            for name in ("valid", "landolt_correct"):
+                if row[name] not in ("true", "false"):
+                    raise GazeParseError(f"{name} must be true or false, got {row[name]!r}", path, line_no)
+            if row["valid"] == "true" and not row["gva_mean_deg"]:
+                raise GazeParseError("valid row without gva_mean_deg", path, line_no)
             try:
-                out.append(
-                    GvaTableRow(
-                        participant_id=row["participant_id"],
-                        environment=row["environment"],
-                        trial_id=row["trial_id"],
-                        start_depth_m=float(row["start_depth_m"]),
-                        end_depth_m=float(row["end_depth_m"]),
-                        status=row["status"],
-                        gva_mean_deg=float(row["gva_mean_deg"]) if row["gva_mean_deg"] else None,
-                        valid_fraction=float(row["valid_fraction"]),
-                        valid=row["valid"] == "true",
-                        landolt_correct=row["landolt_correct"] == "true",
-                    )
-                )
+                depths = float(row["start_depth_m"]), float(row["end_depth_m"])
+                gva = float(row["gva_mean_deg"]) if row["gva_mean_deg"] else None
+                fraction = float(row["valid_fraction"])
             except ValueError as exc:
                 raise GazeParseError(f"bad gva table row: {exc}", path, line_no) from None
+            valid, landolt_correct = row["valid"] == "true", row["landolt_correct"] == "true"
+            ids = row["participant_id"], row["environment"], row["trial_id"]
+            out.append(ProcessedTrial(*ids, *depths, row["status"], gva, fraction, valid, landolt_correct))
     return out
 
 

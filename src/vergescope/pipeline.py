@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, NoFixationError, ShortTrialError
-from .recording import SampleStatus, TrialRecord, depth_pair_label
+from .recording import DepthPair, SampleStatus, TrialRecord, depth_pair_label
 
 __all__ = [
     "PipelineConfig",
@@ -278,8 +278,13 @@ def trial_validity(trial_or_fraction, threshold: float = 0.5) -> bool:
 
 
 @dataclass(frozen=True)
-class ProcessedTrial:
-    """Per-trial pipeline outcome feeding the analysis tables."""
+class ProcessedTrial(DepthPair):
+    """One GVA-table row: the cleaning cascade's outcome for one trial.
+
+    A row parsed from a table file has no fixation onset or sample counts.
+    Only ``cascade_validity`` reads ``n_samples`` and ``sample_counts``, and
+    only on pipeline output.
+    """
 
     participant_id: str
     environment: str
@@ -287,29 +292,13 @@ class ProcessedTrial:
     start_depth_m: float
     end_depth_m: float
     status: str  # ok | no_fixation | short_trial | no_valid_samples
-    fixation_onset_s: float | None
     gva_mean_deg: float | None
     valid_fraction: float
     valid: bool
     landolt_correct: bool
-    n_samples: int
-    sample_counts: dict[str, int]
-
-    @property
-    def end_depth_d(self) -> float:
-        return 1.0 / self.end_depth_m
-
-    @property
-    def start_depth_d(self) -> float:
-        return 1.0 / self.start_depth_m
-
-    @property
-    def switch_depth_d(self) -> float:
-        return abs(self.start_depth_d - self.end_depth_d)
-
-    @property
-    def direction(self) -> str:
-        return "converge" if self.end_depth_m < self.start_depth_m else "diverge"
+    fixation_onset_s: float | None = None
+    n_samples: int | None = None
+    sample_counts: dict[str, int] | None = None
 
 
 def _finish_trial(trial: TrialRecord, config: PipelineConfig) -> ProcessedTrial:
@@ -432,9 +421,10 @@ def validity_gate(
     A depth pair (keyed by ``depth_pair_label``) is valid with at least
     ``min_valid_trials_per_pair`` valid trials, an environment with at least
     ``min_valid_pairs_per_environment`` valid pairs, a participant with
-    ``required_valid_environments`` valid environments. ``rows`` are trials
-    or table rows. Returns the nested verdicts per participant and the sorted
-    retained participant ids.
+    ``required_valid_environments`` valid environments. ``rows`` are
+    ``ProcessedTrial``s, from the pipeline or parsed from a table. Returns
+    the nested verdicts per participant and the sorted retained participant
+    ids.
     """
     pair_valid: dict[tuple[str, str, str], dict] = {}
     for r in rows:

@@ -19,6 +19,7 @@ from .geometry import vergence_angles
 __all__ = [
     "SampleStatus",
     "GazeSeries",
+    "DepthPair",
     "TrialRecord",
     "LANDOLT_DIRECTIONS",
 ]
@@ -122,8 +123,31 @@ class GazeSeries:
         return az, el
 
 
+class DepthPair:
+    """Field-less mixin: the diopter views of ``start_depth_m`` -> ``end_depth_m``.
+
+    A cell averaged over start depths has ``start_depth_m`` None and no start
+    or switching depth.
+    """
+
+    @property
+    def end_depth_d(self) -> float:
+        return 1.0 / self.end_depth_m
+
+    @property
+    def start_depth_d(self) -> float:
+        if self.start_depth_m is None:
+            raise DomainError("cell was averaged over start depths")
+        return 1.0 / self.start_depth_m
+
+    @property
+    def switch_depth_d(self) -> float:
+        """Magnitude of the dioptric change from start to end depth."""
+        return abs(self.start_depth_d - self.end_depth_d)
+
+
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(DepthPair):
     """One vergence eye-movement trial with its metadata and sample series."""
 
     participant_id: str
@@ -150,23 +174,6 @@ class TrialRecord:
                 raise DomainError("fixation onset precedes stimulus onset")
             if self.response_s is not None and self.fixation_onset_s > self.response_s:
                 raise DomainError("fixation onset follows the button response")
-
-    @property
-    def end_depth_d(self) -> float:
-        return 1.0 / self.end_depth_m
-
-    @property
-    def start_depth_d(self) -> float:
-        return 1.0 / self.start_depth_m
-
-    @property
-    def switch_depth_d(self) -> float:
-        """Magnitude of the dioptric change from start to end depth."""
-        return abs(self.start_depth_d - self.end_depth_d)
-
-    @property
-    def direction(self) -> str:
-        return "converge" if self.end_depth_m < self.start_depth_m else "diverge"
 
     @property
     def landolt_correct(self) -> bool:

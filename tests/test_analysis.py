@@ -11,8 +11,7 @@ from vergescope.analysis import (
     stability_means,
 )
 from vergescope.calibration import fit_participants, GvaObservation
-from vergescope.dataio import GvaTableRow
-from vergescope.pipeline import preprocess_dataset, validity_gate
+from vergescope.pipeline import ProcessedTrial, preprocess_dataset, validity_gate
 from vergescope.stats import f_test_from_r2
 from vergescope.synth import (
     CohortConfig,
@@ -23,7 +22,7 @@ from vergescope.synth import (
 
 
 def table_row(pid, env, start, end, gva, valid=True):
-    return GvaTableRow(pid, env, "t", start, end, "ok", gva, 1.0, valid, True)
+    return ProcessedTrial(pid, env, "t", start, end, "ok", gva, 1.0, valid, True)
 
 
 class TestTables:
@@ -82,29 +81,55 @@ class TestRetention:
         assert self.retained(self.full_rows(valid_per_pair=2)) == []
 
 
+def _stability_with_switch_effect(end_depth_m=None):
+    """Stability chain on seed 3 (2 x 1) with 3 deg/D of switching depth added in VR.
+
+    ``end_depth_m`` limits the added effect to the VR cells at that end depth.
+    """
+    ds = simulate_cohort(ExperimentDesign(n_participants=2, repetitions=1), CohortConfig(), seed=3)
+    processed, _ = preprocess_dataset(ds.trials)
+    models = fit_participants(condition_means(processed))
+    cells = [
+        replace(c, normalized_gva_deg=c.normalized_gva_deg + 3.0 * c.switch_depth_d)
+        if c.environment == "VR" and end_depth_m in (None, c.end_depth_m)
+        else c
+        for c in attach_normalized(stability_means(processed), models)
+    ]
+    result = analyze_stability(cells, normalized=True)
+    return result, {r["model"]: r for r in result["rows"]}
+
+
+def _f_test_row(row, larger, complete):
+    delta_df, f, p = f_test_from_r2(
+        row["r_squared"], row["res_df"], larger["r_squared"], larger["res_df"], complete["r_squared"], complete["res_df"]
+    )
+    return -delta_df, f, p
+
+
 class TestStabilityChain:
     def test_rm_is_tested_against_the_hidden_fitted_model(self):
         # A switching-depth effect in VR at 0.25 m keeps the full three-way
         # model, so fm equals cm1 and is not printed; rm reduces fm and is
         # F-tested against it, not against cm2, which does not contain it.
-        ds = simulate_cohort(ExperimentDesign(n_participants=2, repetitions=1), CohortConfig(), seed=3)
-        processed, _ = preprocess_dataset(ds.trials)
-        models = fit_participants(condition_means(processed))
-        cells = [
-            replace(c, normalized_gva_deg=c.normalized_gva_deg + 3.0 * c.switch_depth_d)
-            if c.environment == "VR" and c.end_depth_m == 0.25
-            else c
-            for c in attach_normalized(stability_means(processed), models)
-        ]
-        result = analyze_stability(cells, normalized=True)
-        rows = {r["model"]: r for r in result["rows"]}
+        result, rows = _stability_with_switch_effect(end_depth_m=0.25)
         assert list(rows) == ["cm1", "cm2", "rm"]
         assert result["fitted_formula"] == rows["cm1"]["formula"]
         cm1, rm = rows["cm1"], rows["rm"]
-        delta_df, f, p = f_test_from_r2(
-            rm["r_squared"], rm["res_df"], cm1["r_squared"], cm1["res_df"], cm1["r_squared"], cm1["res_df"]
-        )
-        assert (rm["delta_df"], rm["f"], rm["p"]) == (-delta_df, f, p)
+        assert (rm["delta_df"], rm["f"], rm["p"]) == _f_test_row(rm, cm1, cm1)
+
+    def test_fm_outside_cm2_is_tested_against_cm1(self):
+        # The effect in every VR cell keeps environment:switch_depth_d, so the
+        # printed fm is not nested in cm2, which has no switching-depth term.
+        # fm is tested against cm1, and the environment share, cm2 - rm, is
+        # omitted because rm is not nested in cm2 either.
+        result, rows = _stability_with_switch_effect()
+        assert list(rows) == ["cm1", "cm2", "fm", "rm"]
+        cm1, fm = rows["cm1"], rows["fm"]
+        assert fm["formula"] == "gva ~ end_depth + environment + switch_depth_d + environment:switch_depth_d"
+        assert (fm["delta_df"], fm["f"], fm["p"]) == _f_test_row(fm, cm1, cm1)
+        assert fm["f"] > 0.0
+        assert "environment" not in result["attribution"]
+        assert set(result["attribution"]) == {"end_depth", "switch_depth"}
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vergescope.dataio import GvaTableRow
-from vergescope.pipeline import validity_gate
+from vergescope.pipeline import ProcessedTrial, validity_gate
 from vergescope.stats import FitResult, ModelFormula, f_test_from_r2, ols_fit, stepwise_refine
 from vergescope.synth import ExperimentDesign
 
@@ -140,6 +139,6 @@ ROWS = st.lists(
     min_envs=st.integers(1, 3),
 )
 def test_gate_matches_reference_on_random_rows(rows, min_trials, min_pairs, min_envs):
-    table = [GvaTableRow(pid, env, "t", s, e, "ok", 10.0, 1.0, valid, True) for pid, env, (s, e), valid in rows]
+    table = [ProcessedTrial(pid, env, "t", s, e, "ok", 10.0, 1.0, valid, True) for pid, env, (s, e), valid in rows]
     _, retained = validity_gate(table, min_trials, min_pairs, min_envs)
     assert retained == reference_retained_participants(table, min_trials, min_pairs, min_envs)

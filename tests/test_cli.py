@@ -215,6 +215,11 @@ MALFORMED_CLI = {
     "fit_wrong_header": ("fit", {"--gva-table": "a,b\n1,2\n"}, ["--out", "OUT"], None),
     "fit_bad_value": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,x,0.25,valid,10.0,1.0,true,true\n"},
                       ["--out", "OUT"], None),
+    # A valid row needs a mean angle, and the booleans read true or false.
+    "fit_table_valid_without_gva": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,4.0,0.25,ok,,1.0,true,true\n"},
+                                    ["--out", "OUT"], None),
+    "fit_table_bad_bool": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,4.0,0.25,ok,10.0,1.0,yes,true\n"},
+                           ["--out", "OUT"], None),
     "analyze_truncated_subjective": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (
         "participant_id,environment,depth_m,report_value,unit,repetition\np01,Real,1.0\n")},
         ["--logratio", "--out", "OUT"], None),
@@ -302,7 +307,7 @@ class TestMalformedInputContract:
         assert len(lines) == 1, r.stderr
         doc = json.loads(lines[0])
         assert set(doc) == {"error"} and doc["error"]["type"] and doc["error"]["message"]
-        if any(part in name for part in ("_models_", "_design_", "_analysis_")):
+        if any(part in name for part in ("_models_", "_design_", "_analysis_", "_table_")):
             # One shape check names the input file, not a later symptom.
             assert doc["error"]["type"] == "GazeParseError"
         if "_usage_" in name:

@@ -1,14 +1,20 @@
+import csv
 import json
 import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import series_from_gva
 from vergescope import dataio
+from vergescope.analysis import ConditionCell
 from vergescope.calibration import ParticipantModel
-from vergescope.errors import GazeParseError
-from vergescope.recording import SampleStatus
+from vergescope.errors import DomainError, GazeParseError
+from vergescope.pipeline import ProcessedTrial
+from vergescope.recording import GazeSeries, SampleStatus, TrialRecord
 from vergescope.synth import CohortConfig, ExperimentDesign, NoiseModel, simulate_cohort
 
 
@@ -139,22 +145,124 @@ class TestDatasetRoundtrip:
             dataio.load_session_trials(str(manifest), validate_chaining=True)
 
 
+@dataclass(frozen=True)
+class ReferenceGvaTableRow:
+    """The table row type ``parse_gva_table_csv`` returned before ``ProcessedTrial`` took its place."""
+
+    participant_id: str
+    environment: str
+    trial_id: str
+    start_depth_m: float
+    end_depth_m: float
+    status: str
+    gva_mean_deg: float | None
+    valid_fraction: float
+    valid: bool
+    landolt_correct: bool
+
+
+def reference_parse_gva_table_csv(path: str) -> list[ReferenceGvaTableRow]:
+    """The table reader that returned ``ReferenceGvaTableRow``s, kept as it was."""
+    out = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != dataio._GVA_TABLE_HEADER:
+            raise GazeParseError(f"bad gva table header {reader.fieldnames!r}", path, 1)
+        for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise GazeParseError(f"expected {len(dataio._GVA_TABLE_HEADER)} fields", path, line_no)
+            try:
+                out.append(
+                    ReferenceGvaTableRow(
+                        participant_id=row["participant_id"],
+                        environment=row["environment"],
+                        trial_id=row["trial_id"],
+                        start_depth_m=float(row["start_depth_m"]),
+                        end_depth_m=float(row["end_depth_m"]),
+                        status=row["status"],
+                        gva_mean_deg=float(row["gva_mean_deg"]) if row["gva_mean_deg"] else None,
+                        valid_fraction=float(row["valid_fraction"]),
+                        valid=row["valid"] == "true",
+                        landolt_correct=row["landolt_correct"] == "true",
+                    )
+                )
+            except ValueError as exc:
+                raise GazeParseError(f"bad gva table row: {exc}", path, line_no) from None
+    return out
+
+
 class TestGvaTable:
     def test_roundtrip(self, tmp_path):
         from vergescope.pipeline import preprocess_dataset
 
         design = ExperimentDesign(n_participants=1, repetitions=1)
         ds = simulate_cohort(design, CohortConfig(), seed=7)
-        processed, _ = preprocess_dataset(ds.trials)
+        # A response before the earliest allowed onset leaves a trial without
+        # a fixation, so the table holds rows with an empty gva_mean_deg.
+        trials = [replace(t, response_s=t.stimulus_onset_s) if i % 5 == 0 else t for i, t in enumerate(ds.trials)]
+        processed, _ = preprocess_dataset(trials)
+        assert any(p.status == "no_fixation" and p.gva_mean_deg is None for p in processed)
         path = tmp_path / "table.csv"
         dataio.write_gva_table_csv(str(path), processed)
         rows = dataio.parse_gva_table_csv(str(path))
-        assert len(rows) == len(processed)
-        for row, p in zip(rows, processed):
-            assert row.participant_id == p.participant_id
-            assert row.valid == p.valid
-            if p.gva_mean_deg is not None:
-                assert row.gva_mean_deg == pytest.approx(p.gva_mean_deg, rel=1e-15)
+        reference = reference_parse_gva_table_csv(str(path))
+        assert len(rows) == len(reference) == len(processed)
+        for row, ref, p in zip(rows, reference, processed):
+            for f in fields(ReferenceGvaTableRow):
+                assert repr(getattr(row, f.name)) == repr(getattr(ref, f.name)) == repr(getattr(p, f.name))
+            assert (row.fixation_onset_s, row.n_samples, row.sample_counts) == (None, None, None)
+        again = tmp_path / "again.csv"
+        dataio.write_gva_table_csv(str(again), rows)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "valid, gva, landolt, message",
+        [
+            ("true", "", "true", "valid row without gva_mean_deg"),
+            ("True", "10.0", "true", "valid must be true or false, got 'True'"),
+            ("false", "", "1", "landolt_correct must be true or false, got '1'"),
+        ],
+    )
+    def test_inconsistent_row_names_its_line(self, tmp_path, valid, gva, landolt, message):
+        good = "p01,Real,t000,4.0,0.25,ok,10.0,1.0,true,true"
+        bad = f"p01,Real,t001,0.25,4.0,ok,{gva},1.0,{valid},{landolt}"
+        path = tmp_path / "table.csv"
+        path.write_text("\n".join([",".join(dataio._GVA_TABLE_HEADER), good, bad, ""]))
+        with pytest.raises(GazeParseError) as exc:
+            dataio.parse_gva_table_csv(str(path))
+        assert str(exc.value) == f"{message} [{path}:3]"
+
+
+POSITIVE_DEPTHS = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=POSITIVE_DEPTHS, end=POSITIVE_DEPTHS)
+def test_depth_pair_matches_the_formulas_it_replaced(start, end):
+    """DepthPair's views equal the old TrialRecord and ConditionCell formulas bit for bit."""
+    old_end_d = 1.0 / end
+    old_trial_start_d = 1.0 / start
+    old_trial_switch_d = abs(old_trial_start_d - old_end_d)
+    old_cell_switch_d = abs(1.0 / start - 1.0 / end)
+    cell = ConditionCell("p01", "Real", start, end, 10.0, 1)
+    row = ProcessedTrial("p01", "Real", "t", start, end, "ok", 10.0, 1.0, True, True)
+    pairs = [cell, row]
+    if start != end:
+        empty = GazeSeries(np.empty(0), *[np.empty((0, 3))] * 4, np.empty(0), np.empty(0))
+        pairs.append(TrialRecord("p01", "Real", "t", start, end, 0.0, None, empty))
+    for pair in pairs:
+        assert _bits(pair.end_depth_d) == _bits(old_end_d)
+        assert _bits(pair.start_depth_d) == _bits(old_trial_start_d)
+        assert _bits(pair.switch_depth_d) == _bits(old_trial_switch_d) == _bits(old_cell_switch_d)
+    averaged = ConditionCell("p01", "Real", None, end, 10.0, 1)
+    assert _bits(averaged.end_depth_d) == _bits(old_end_d)
+    for view in ("start_depth_d", "switch_depth_d"):
+        with pytest.raises(DomainError):
+            getattr(averaged, view)
 
 
 class TestModelsJson:
