@@ -25,7 +25,7 @@ from .errors import (
     RankDeficiencyError,
     VergescopeError,
 )
-from .geometry import vergence_angles
+from .geometry import _vergence_angle_pair, vergence_angles
 from .stats import ModelFormula, ols_fit
 from .stats.linmod import qr_solve
 
@@ -176,6 +176,9 @@ class DepthStream:
     is NaN (NaN or zero-norm vectors), or when it moves faster than
     ``max_velocity`` deg/s from the last kept row. As in ``velocity_filter``,
     the rows that reach the velocity gate need strictly increasing timestamps.
+    A push of several rows makes one ``geometry.vergence_angles`` call; a push
+    left with one row skips the array kernel for its one-pair form, which
+    gives the same bits.
     """
 
     def __init__(self, model: ParticipantModel, confidence: float = 0.75, max_velocity: float = 5000.0):
@@ -194,8 +197,13 @@ class DepthStream:
         rows = [row for row in rows if min(row[1], row[2]) >= self.confidence]
         if not rows:
             return
-        table = np.array(rows, dtype=float)
-        for row, gva in zip(rows, vergence_angles(table[:, 6:9], table[:, 12:15]).tolist()):
+        if len(rows) == 1:
+            (row,) = rows
+            angles = [_vergence_angle_pair(row[6:9], row[12:15])]
+        else:
+            table = np.array(rows, dtype=float)
+            angles = vergence_angles(table[:, 6:9], table[:, 12:15]).tolist()
+        for row, gva in zip(rows, angles):
             if gva != gva:
                 continue
             t = row[0]

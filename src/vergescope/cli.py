@@ -4,7 +4,8 @@ Every subcommand is a deterministic function of its inputs, flags, and seed;
 failures exit nonzero with a one-line JSON error object on stderr. The
 VERGESCOPE_SEED environment variable overrides --seed when set. ``estimate``
 pushes its stdin rows through ``calibration.DepthStream``: each row as it
-arrives with --stream, otherwise blocks of 4,096 rows.
+arrives with --stream, where a one-row push skips the array kernel for its
+one-pair form (same bits), otherwise blocks of 4,096 rows.
 """
 
 from __future__ import annotations

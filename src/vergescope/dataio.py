@@ -417,9 +417,10 @@ def write_gva_table_csv(path: str, rows: Iterable[ProcessedTrial]) -> None:
 def parse_gva_table_csv(path: str) -> list[ProcessedTrial]:
     """Strictly parse a GVA table into rows without onsets or sample counts.
 
-    ``valid`` and ``landolt_correct`` must read ``true`` or ``false``, and a
-    valid row must have a ``gva_mean_deg``; any other row raises
-    :class:`GazeParseError` naming its line.
+    ``valid`` and ``landolt_correct`` must read ``true`` or ``false``, both
+    depths must be positive and finite, and a valid row must have a finite
+    ``gva_mean_deg``; any other row raises :class:`GazeParseError` naming its
+    line.
     """
     out = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -440,6 +441,11 @@ def parse_gva_table_csv(path: str) -> list[ProcessedTrial]:
                 fraction = float(row["valid_fraction"])
             except ValueError as exc:
                 raise GazeParseError(f"bad gva table row: {exc}", path, line_no) from None
+            for name, depth in zip(("start_depth_m", "end_depth_m"), depths):
+                if not 0.0 < depth < math.inf:
+                    raise GazeParseError(f"{name} must be positive and finite, got {depth!r}", path, line_no)
+            if row["valid"] == "true" and not math.isfinite(gva):
+                raise GazeParseError(f"valid row with non-finite gva_mean_deg {gva!r}", path, line_no)
             valid, landolt_correct = row["valid"] == "true", row["landolt_correct"] == "true"
             ids = row["participant_id"], row["environment"], row["trial_id"]
             out.append(ProcessedTrial(*ids, *depths, row["status"], gva, fraction, valid, landolt_correct))

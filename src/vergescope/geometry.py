@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -143,23 +144,64 @@ def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
     """Angles in degrees between paired rows of two (n, 3) direction arrays.
 
     Each angle is the arccosine of the row pair's normalized dot product,
-    clipped to [-1, 1]. A row with a zero-norm or NaN vector gives NaN.
+    clipped to [-1, 1]. A row with a zero-norm or NaN vector gives NaN. A row
+    of finite components whose norms overflow (components above about 1.3e154)
+    is divided by its largest absolute component and computed again; every
+    other row keeps the bits of the unscaled computation.
     """
-    nl = np.linalg.norm(l_dir, axis=1)
-    nr = np.linalg.norm(r_dir, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.einsum("ij,ij->i", l_dir, r_dir) / (nl * nr)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nl = np.linalg.norm(l_dir, axis=1)
+        nr = np.linalg.norm(r_dir, axis=1)
+        norms = nl * nr
+        cos = np.einsum("ij,ij->i", l_dir, r_dir) / norms
         cos = np.clip(cos, -1.0, 1.0)
         out = np.degrees(np.arccos(cos))
-    out[(nl == 0.0) | (nr == 0.0)] = np.nan
+    zero = (nl == 0.0) | (nr == 0.0)
+    out[zero] = np.nan
+    overflow = ~np.isfinite(norms)
+    if overflow.any():
+        overflow &= ~zero & np.isfinite(l_dir).all(axis=1) & np.isfinite(r_dir).all(axis=1)
+        left, right = l_dir[overflow], r_dir[overflow]
+        out[overflow] = vergence_angles(
+            left / np.abs(left).max(axis=1, keepdims=True), right / np.abs(right).max(axis=1, keepdims=True)
+        )
     return out
+
+
+# A gaze vector shorter than this (2**510) cannot overflow a sum of three
+# squares or products, so ``_vergence_angle_pair`` needs no overflow check.
+_PAIR_NORM_LIMIT = 2.0**510
+
+
+def _vergence_angle_pair(l_dir: Sequence[float], r_dir: Sequence[float]) -> float:
+    """``vergence_angles`` of one pair of 3-component sequences: the same bits, or NaN where it gives NaN.
+
+    The steps whose rounding order numpy picks stay numpy calls on the
+    layout ``vergence_angles`` sees for one row: the sums of squares, the
+    einsum dot product and the arccosine. The square roots, the product of
+    the norms, the division, the clip and the conversion to degrees are
+    single IEEE operations on Python floats. A pair with a NaN, infinite or
+    overflowing vector goes to ``vergence_angles`` itself.
+    """
+    if not (math.hypot(*l_dir) < _PAIR_NORM_LIMIT and math.hypot(*r_dir) < _PAIR_NORM_LIMIT):
+        return float(vergence_angles(np.array([l_dir], dtype=float), np.array([r_dir], dtype=float))[0])
+    pair = np.array((l_dir, r_dir), dtype=float)
+    sl, sr = np.add.reduce(pair * pair, axis=1).tolist()
+    if sl == 0.0 or sr == 0.0:
+        return math.nan
+    # A positive sum of squares is at least 2**-1074, so each norm is at
+    # least 2**-537 and their product cannot underflow to zero.
+    cos = float(np.einsum("ij,ij->i", pair[:1], pair[1:])[0]) / (math.sqrt(sl) * math.sqrt(sr))
+    return float(np.arccos(min(max(cos, -1.0), 1.0))) * (180.0 / math.pi)
 
 
 def vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool = False) -> float:
     """Angle in degrees between the two eyes' gaze direction vectors.
 
     The one-pair form of :func:`vergence_angles`, the kernel ``GazeSeries``
-    uses, so both give the same bits for the same vectors.
+    uses, so both give the same bits for the same vectors; it skips the array
+    kernel's per-call overhead, and ``DepthStream`` uses the same one-pair
+    body for a push of one row.
     ``project_horizontal=True`` zeroes the vertical components first,
     measuring the angle in the horizontal plane only. Result is in [0, 180],
     symmetric in its arguments, and invariant to positive rescaling of either
@@ -170,7 +212,7 @@ def vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool 
         right_dir = Vec3(right_dir.x, 0.0, right_dir.z)
     if left_dir.norm() == 0.0 or right_dir.norm() == 0.0:
         raise DegenerateInputError("vergence_angle requires nonzero gaze vectors")
-    return float(vergence_angles(np.array([left_dir.as_tuple()]), np.array([right_dir.as_tuple()]))[0])
+    return _vergence_angle_pair(left_dir.as_tuple(), right_dir.as_tuple())
 
 
 def ideal_vergence(depth_m: float, ipd: float) -> float:

@@ -218,6 +218,11 @@ MALFORMED_CLI = {
     # A valid row needs a mean angle, and the booleans read true or false.
     "fit_table_valid_without_gva": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,4.0,0.25,ok,,1.0,true,true\n"},
                                     ["--out", "OUT"], None),
+    # Depths are positive and finite, and a valid row's mean angle is finite.
+    "fit_table_zero_depth": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t0,4.0,0.0,ok,10.0,1.0,true,true\n"},
+                             ["--out", "OUT"], None),
+    "fit_table_valid_nan_gva": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t0,4.0,0.25,ok,nan,1.0,true,true\n"
+                                        "p01,Real,t1,0.25,4.0,ok,12.0,1.0,true,true\n"}, ["--out", "OUT"], None),
     "fit_table_bad_bool": ("fit", {"--gva-table": GVA_TABLE_HEADER + "p01,Real,t000,4.0,0.25,ok,10.0,1.0,yes,true\n"},
                            ["--out", "OUT"], None),
     "analyze_truncated_subjective": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (

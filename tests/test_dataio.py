@@ -221,11 +221,28 @@ class TestGvaTable:
             ("true", "", "true", "valid row without gva_mean_deg"),
             ("True", "10.0", "true", "valid must be true or false, got 'True'"),
             ("false", "", "1", "landolt_correct must be true or false, got '1'"),
+            ("true", "nan", "true", "valid row with non-finite gva_mean_deg nan"),
+            ("true", "-inf", "true", "valid row with non-finite gva_mean_deg -inf"),
         ],
     )
     def test_inconsistent_row_names_its_line(self, tmp_path, valid, gva, landolt, message):
+        self._assert_bad_row(tmp_path, f"p01,Real,t001,0.25,4.0,ok,{gva},1.0,{valid},{landolt}", message)
+
+    @pytest.mark.parametrize(
+        "start, end, valid, gva, message",
+        [
+            ("0.0", "4.0", "false", "", "start_depth_m must be positive and finite, got 0.0"),
+            ("0.25", "-4.0", "true", "10.0", "end_depth_m must be positive and finite, got -4.0"),
+            ("inf", "4.0", "true", "10.0", "start_depth_m must be positive and finite, got inf"),
+            ("0.25", "nan", "false", "", "end_depth_m must be positive and finite, got nan"),
+        ],
+    )
+    def test_bad_depth_names_its_line(self, tmp_path, start, end, valid, gva, message):
+        self._assert_bad_row(tmp_path, f"p01,Real,t001,{start},{end},ok,{gva},1.0,{valid},true", message)
+
+    @staticmethod
+    def _assert_bad_row(tmp_path, bad, message):
         good = "p01,Real,t000,4.0,0.25,ok,10.0,1.0,true,true"
-        bad = f"p01,Real,t001,0.25,4.0,ok,{gva},1.0,{valid},{landolt}"
         path = tmp_path / "table.csv"
         path.write_text("\n".join([",".join(dataio._GVA_TABLE_HEADER), good, bad, ""]))
         with pytest.raises(GazeParseError) as exc:

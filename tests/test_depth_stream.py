@@ -81,6 +81,11 @@ def _pushed(rows, sizes, model, confidence, max_velocity):
         yield from stream.push(block)
 
 
+# Both vectors scaled: squares that are subnormal (1e-160), that underflow to
+# zero (1e-170, a zero norm), and that overflow (above 1.3e154).
+SCALED_KINDS = {"subnormal": 1e-160, "underflow": 1e-170, "huge": 1e200, "huger": 3e300}
+
+
 def _row(t, conf, gva_deg, kind):
     half = math.radians(gva_deg) / 2.0
     l_dir = [math.sin(half), 0.01, math.cos(half)]
@@ -89,11 +94,19 @@ def _row(t, conf, gva_deg, kind):
         l_dir[1] = math.nan
     elif kind == "zero":
         r_dir = [0.0, 0.0, 0.0]
+    elif kind == "parallel":
+        r_dir = [2.0 * c for c in l_dir]
+    elif kind == "antiparallel":
+        r_dir = [-3.0 * c for c in l_dir]
+    elif kind in SCALED_KINDS:
+        l_dir = [c * SCALED_KINDS[kind] for c in l_dir]
+        r_dir = [c * SCALED_KINDS[kind] for c in r_dir]
     return [t, conf, 1.0, -0.032, 0.0, 0.0, *l_dir, 0.032, 0.0, 0.0, *r_dir]
 
 
 # normal rows cover the calibrated range; spikes jump by tens of degrees in a
-# 5 ms step; "far" and "near" angles lie outside it, so their meters are NaN.
+# 5 ms step; "far" and "near" angles lie outside it, so their meters are NaN,
+# as are those of parallel (0 deg) and antiparallel (180 deg) pairs.
 ROW_KINDS = {
     "normal": st.floats(1.5, 14.0),
     "spike": st.floats(40.0, 90.0),
@@ -101,6 +114,9 @@ ROW_KINDS = {
     "near": st.floats(30.0, 35.0),
     "nan": st.just(5.0),
     "zero": st.just(5.0),
+    "parallel": st.floats(1.5, 14.0),
+    "antiparallel": st.floats(1.5, 14.0),
+    **{kind: st.floats(1.5, 14.0) for kind in SCALED_KINDS},
 }
 
 
@@ -145,12 +161,17 @@ class TestDepthStreamOracle:
             _row(0.015, 1.0, 5.0, "zero"),  # zero-norm vector
             _row(0.020, 1.0, 60.0, "spike"),  # 2,750 deg/s from the row at t = 0
             _row(0.025, 1.0, 5.5, "normal"),
+            _row(0.030, 1.0, 5.6, "huge"),  # its norms overflow, its angle does not
             _row(0.200, 1.0, 0.2, "far"),  # kept, but outside the calibrated range
         ]
         got = list(DepthStream(MODEL, 0.75, 1000.0).push(rows))
-        assert [round(t, 3) for t, _, _ in got] == [0.0, 0.025, 0.2]
+        assert [round(t, 3) for t, _, _ in got] == [0.0, 0.025, 0.03, 0.2]
         assert got[1][2] == estimate_depth(got[1][1], MODEL)[1]
-        assert math.isnan(got[2][2])
+        (unscaled,) = DepthStream(MODEL).push([_row(0.030, 1.0, 5.6, "normal")])
+        assert got[2][1] == pytest.approx(unscaled[1], abs=1e-12)
+        assert math.isnan(got[3][2])
+        one_row = DepthStream(MODEL, 0.75, 1000.0)
+        assert repr([out for row in rows for out in one_row.push([row])]) == repr(got)
 
     def test_repeated_candidate_timestamp_raises_after_earlier_rows(self):
         rows = [_row(0.0, 1.0, 5.0, "normal"), _row(0.005, 0.3, 5.0, "normal"), _row(0.005, 1.0, 5.0, "normal"),

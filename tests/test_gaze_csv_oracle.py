@@ -245,15 +245,11 @@ class TestReaderOracle:
         assert kind == "ok"
         assert_series_bitwise_equal(back, series)
 
-    # Vector values near 1e308 overflow the norm behind GazeSeries.gva_deg.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables_with_constant_columns())
     def test_constant_columns_write_and_parse_like_references(self, tmp_path, table):
         assert_round_trip_matches_references(tmp_path, series_of(table))
 
-    # Vector values near 1e308 overflow the norm behind GazeSeries.gva_deg.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=tables_with_constant_columns(), column=st.integers(0, 14), token=tokens)
     def test_identical_token_column_agrees(self, tmp_path, table, column, token):

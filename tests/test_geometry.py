@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vergescope.errors import DegenerateInputError, DomainError
 from vergescope.geometry import (
@@ -12,8 +12,10 @@ from vergescope.geometry import (
     Vec3,
     forward_gaze,
     ideal_vergence,
+    _vergence_angle_pair,
     to_diopters,
     vergence_angle,
+    vergence_angles,
 )
 from vergescope.synth import CohortConfig, ExperimentDesign, simulate_cohort
 
@@ -100,6 +102,96 @@ class TestVergenceKernelOracle:
         expected = reference_vergence_angle(left, right, project_horizontal=horizontal)
         # the tolerance of the scale-invariance property above: arccos near 0/180 deg
         assert vergence_angle(left, right, project_horizontal=horizontal) == pytest.approx(expected, abs=2e-5)
+
+
+def reference_vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
+    """The array kernel before it rescaled rows whose norms overflow, warnings silenced."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nl = np.linalg.norm(l_dir, axis=1)
+        nr = np.linalg.norm(r_dir, axis=1)
+        cos = np.einsum("ij,ij->i", l_dir, r_dir) / (nl * nr)
+        out = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    out[(nl == 0.0) | (nr == 0.0)] = np.nan
+    return out
+
+
+def _same_bits(a, b) -> np.ndarray:
+    """Elementwise bitwise equality; any two NaNs count as equal."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.view(np.uint64) == b.view(np.uint64)) | (np.isnan(a) & np.isnan(b))
+
+
+# Component magnitudes: ordinary, subnormal, small enough that the squares are
+# subnormal or zero (so the norms, and their product, sit near the underflow
+# floor), and above 1.3e154, where the squares overflow.
+COMPONENT = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e-170, 1e-150).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(1.3e154, 1.7e308).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+VECTOR = st.tuples(COMPONENT, COMPONENT, COMPONENT)
+SCALE = st.sampled_from([1.0, 3.0, 0.5, 1e-160, 1e160, 2.0**-537, 2.0**500])
+
+
+@st.composite
+def vector_pairs(draw):
+    """A pair of 3-vectors: independent, or parallel or antiparallel up to a scale."""
+    left = draw(VECTOR)
+    kind = draw(st.sampled_from(["independent", "parallel", "antiparallel"]))
+    if kind == "independent":
+        return left, draw(VECTOR)
+    k = draw(SCALE) * (1.0 if kind == "parallel" else -1.0)
+    return left, tuple(c * k for c in left)
+
+
+class TestOnePairKernel:
+    """``_vergence_angle_pair`` (behind ``vergence_angle`` and one-row pushes) against ``vergence_angles``."""
+
+    @settings(max_examples=500, deadline=None)
+    @example([((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), ((math.nan, 0.0, 1.0), (0.0, 0.0, 1.0))])
+    @example([((1e-160, 0.0, 1e-160), (1e-162, 1e-162, 0.0)), ((5e-324, 0.0, 0.0), (0.0, 5e-324, 0.0))])
+    @example([((1e200, 0.0, 1e200), (1.0, 0.0, 1.0)), ((1e300, -1e300, 1.0), (-1e300, 1e300, -1.0))])
+    @example([((0.1, 0.2, 0.9), (0.2, 0.4, 1.8)), ((0.1, 0.2, 0.9), (-0.1, -0.2, -0.9))])
+    @given(st.lists(vector_pairs(), min_size=1, max_size=30))
+    def test_bitwise_equal_to_array_kernel_row_by_row(self, pairs):
+        left = np.array([p[0] for p in pairs], dtype=float)
+        right = np.array([p[1] for p in pairs], dtype=float)
+        batch = vergence_angles(left, right)
+        for i, (l_dir, r_dir) in enumerate(pairs):
+            one_row = vergence_angles(left[i : i + 1], right[i : i + 1])
+            angle = _vergence_angle_pair(l_dir, r_dir)
+            assert type(angle) is float
+            assert _same_bits(angle, batch[i]) and _same_bits(angle, one_row[0]), (l_dir, r_dir, angle, batch[i])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(vector_pairs(), min_size=1, max_size=30))
+    def test_only_overflowing_rows_change(self, pairs):
+        left = np.array([p[0] for p in pairs], dtype=float)
+        right = np.array([p[1] for p in pairs], dtype=float)
+        got = vergence_angles(left, right)
+        old = reference_vergence_angles(left, right)
+        with np.errstate(over="ignore", invalid="ignore"):
+            nl, nr = np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
+            norms = nl * nr
+        # rows of finite components whose norm product overflows; a norm
+        # that underflows to zero still gives NaN
+        finite_rows = np.isfinite(left).all(axis=1) & np.isfinite(right).all(axis=1)
+        rescued = finite_rows & ~np.isfinite(norms) & (nl != 0.0) & (nr != 0.0)
+        assert _same_bits(got[~rescued], old[~rescued]).all()
+        if rescued.any():
+            left, right = left[rescued], right[rescued]
+            scaled = reference_vergence_angles(
+                left / np.abs(left).max(axis=1, keepdims=True), right / np.abs(right).max(axis=1, keepdims=True)
+            )
+            assert _same_bits(got[rescued], scaled).all()
+
+    def test_overflowing_vector_keeps_its_angle(self):
+        big = vergence_angles(np.array([[1e200, 0.0, 1e200]]), np.array([[-1e200, 0.0, 1e200]]))
+        assert big[0] == pytest.approx(90.0)
+        assert _vergence_angle_pair((3e300, 0.0, 3e300), (-1.0, 0.0, 1.0)) == pytest.approx(90.0)
+        assert vergence_angle(Vec3(1e300, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)) == pytest.approx(90.0)
 
 
 class TestIdealVergence:
