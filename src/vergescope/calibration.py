@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     CalibrationRangeError,
-    DomainError,
     InvalidModelError,
     MissingLevelError,
     ParticipantMismatchError,
@@ -26,6 +25,7 @@ from .errors import (
     VergescopeError,
 )
 from .geometry import _vergence_angle_pair, vergence_angles
+from .pipeline import VelocityGate
 from .stats import ModelFormula, ols_fit
 from .stats.linmod import qr_solve
 
@@ -173,9 +173,9 @@ class DepthStream:
     """Depth estimates for gaze rows pushed in blocks of any size; the split does not change the output.
 
     A row is dropped when ``min(l_conf, r_conf) < confidence``, when its angle
-    is NaN (NaN or zero-norm vectors), or when it moves faster than
-    ``max_velocity`` deg/s from the last kept row. As in ``velocity_filter``,
-    the rows that reach the velocity gate need strictly increasing timestamps.
+    is NaN (NaN or all-zero vectors), or when one ``pipeline.VelocityGate``,
+    held across pushes as ``velocity_filter`` holds one over a trial, drops it:
+    the rows that reach it need strictly increasing timestamps.
     A push of several rows makes one ``geometry.vergence_angles`` call; a push
     left with one row skips the array kernel for its one-pair form, which
     gives the same bits.
@@ -184,9 +184,7 @@ class DepthStream:
     def __init__(self, model: ParticipantModel, confidence: float = 0.75, max_velocity: float = 5000.0):
         self.model = model
         self.confidence = confidence
-        self.max_velocity = max_velocity
-        self._last_t = -math.inf  # the last velocity candidate's timestamp
-        self._kept: tuple[float, float] | None = None  # (t, gva) of the last kept row
+        self._gate = VelocityGate(max_velocity)
 
     def push(self, rows: Sequence[Sequence[float]]) -> Iterator[tuple[float, float, float]]:
         """Yield ``(t_s, gva_deg, meters)`` for each kept row of 15 floats in gaze-CSV column order.
@@ -204,17 +202,9 @@ class DepthStream:
             table = np.array(rows, dtype=float)
             angles = vergence_angles(table[:, 6:9], table[:, 12:15]).tolist()
         for row, gva in zip(rows, angles):
-            if gva != gva:
-                continue
             t = row[0]
-            if not t > self._last_t:
-                raise DomainError(f"velocity gate requires strictly increasing timestamps: t={t!r} after {self._last_t!r}")
-            self._last_t = t
-            if self._kept is not None:
-                t0, g0 = self._kept
-                if abs((gva - g0) / (t - t0)) > self.max_velocity:
-                    continue
-            self._kept = (t, gva)
+            if gva != gva or not self._gate.keep(t, gva):
+                continue
             try:
                 meters = estimate_depth(gva, self.model)[1]
             except VergescopeError:

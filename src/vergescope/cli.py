@@ -3,16 +3,16 @@
 Every subcommand is a deterministic function of its inputs, flags, and seed;
 failures exit nonzero with a one-line JSON error object on stderr. The
 VERGESCOPE_SEED environment variable overrides --seed when set. ``estimate``
-pushes its stdin rows through ``calibration.DepthStream``: each row as it
-arrives with --stream, where a one-row push skips the array kernel for its
-one-pair form (same bits), otherwise blocks of 4,096 rows.
+reads stdin with the gaze-file reader ``dataio.read_gaze_rows`` and pushes the
+rows through ``calibration.DepthStream``: each row as it arrives with --stream
+(a one-row push gives the array kernel's bits), otherwise blocks of 4,096 rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import math
 import os
 import sys
 
@@ -143,34 +143,16 @@ def _cmd_estimate(args) -> int:
                 out.flush()
         pending.clear()
 
-    header = ",".join(dataio.GAZE_CSV_HEADER)
-    n_fields = len(dataio.GAZE_CSV_HEADER)
-    inf = math.inf
-    prev_t = -inf
-    for line_no, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line or line == header:
-            continue
-        fields = line.split(",")
-        try:
-            values = list(map(float, fields))
-        except ValueError:
-            values = []
-        # The batch reader's row rules as plain comparisons; a row that breaks
-        # one is re-parsed by dataio.parse_gaze_row, which raises its error
-        # once the rows before it are written.
-        if (
-            len(values) != n_fields
-            or not (prev_t <= values[0] < inf and 0.0 <= values[1] <= 1.0 and 0.0 <= values[2] <= 1.0)
-            or inf in values
-            or -inf in values
-        ):
-            drain()
-            dataio.parse_gaze_row(fields, "<stdin>", line_no, prev_t)
-        prev_t = values[0]
-        pending.append(values)
-        if len(pending) == block_rows:
-            drain()
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(newline=None)  # lines end at a lone CR too, as in a gaze file
+    try:
+        for row in dataio.read_gaze_rows(sys.stdin, "<stdin>"):
+            pending.append(row)
+            if len(pending) == block_rows:
+                drain()
+    except GazeParseError:
+        drain()  # the rows before a bad line are written before its error
+        raise
     drain()
     return 0
 

@@ -9,13 +9,13 @@ emit/parse round-trips are lossless.
 ``write_gaze_csv`` formats the table column by column: a column whose 64-bit
 patterns are all equal (a simulated trial's eye origins) gets one ``repr``
 reused for every row, so ``-0.0`` and ``0.0`` never share a string.
-``parse_gaze_csv`` first reads a whole file as one table, column by column: a
-column whose tokens are all the same string gets one ``float()``, every other
-field its own, then the schema checks run as array masks. Any file that this
-fast path cannot tokenise exactly as ``csv.reader`` would, or that fails a
-check or a conversion, goes to the record-by-record reader
-``_parse_gaze_csv_lines``, which is the only place that raises, so every
-error names the same message, path and line.
+``read_gaze_rows`` owns the gaze-row rules, for files and for ``estimate``'s
+stdin. ``parse_gaze_csv`` first reads a whole file as one table, column by
+column: a column whose tokens are all the same string gets one ``float()``,
+every other field its own, then the row rules run as array masks. Any file
+this fast path does not accept goes to ``read_gaze_rows``, whose
+``_parse_gaze_row`` is the only place that raises, so every error names the
+same message, path and line.
 
 The GVA table holds one ``pipeline.ProcessedTrial`` per line, and
 ``parse_gva_table_csv`` reads the same type back, without the fixation onset
@@ -29,7 +29,7 @@ import json
 import math
 import os
 from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ __all__ = [
     "GAZE_CSV_HEADER",
     "write_gaze_csv",
     "parse_gaze_csv",
-    "parse_gaze_row",
+    "read_gaze_rows",
     "write_manifest",
     "load_manifest",
     "load_session_trials",
@@ -147,7 +147,7 @@ def _parse_float(text: str, field: str, path: str, line: int, allow_nan: bool) -
     return value
 
 
-def parse_gaze_row(raw: Sequence[str], path: str, line: int, prev_t: float) -> list[float]:
+def _parse_gaze_row(raw: Sequence[str], path: str, line: int, prev_t: float) -> list[float]:
     """Strictly parse one gaze record (15 fields) that follows timestamp ``prev_t``.
 
     Raises :class:`GazeParseError` naming the first fault: field count,
@@ -181,30 +181,24 @@ def _series_from_table(table: np.ndarray) -> GazeSeries:
 
 
 def _gaze_table_fast(path: str) -> np.ndarray | None:
-    """The (n, 15) table of a gaze CSV, or None where the file needs the per-line parser.
+    """The (n, 15) table of a gaze CSV, or None where the file needs ``read_gaze_rows``.
 
-    Accepts exactly the files ``_parse_gaze_csv_lines`` accepts, minus any it
-    cannot tokenise the way ``csv.reader`` does (quotes, lone CR, lines longer
-    than the csv field limit). Every field goes through ``float()``, once per
-    column where all of the column's tokens are the same string.
+    Accepts only files that ``read_gaze_rows`` accepts, with the same values:
+    an exact header line, then blank lines and rows of 15 fields that pass
+    the row rules. Every field goes through ``float()``, once per column
+    where all of the column's tokens are the same string.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         return None
-    if '"' in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != _GAZE_CSV_HEADER_LINE or max(map(len, lines)) > csv.field_size_limit():
+    if not lines or lines[0] != _GAZE_CSV_HEADER_LINE:
         return None
-    body = [line for line in lines[1:] if line]  # csv.reader yields [] for a blank line; both skip it
+    body = [line for line in lines[1:] if line]
     n_fields = len(GAZE_CSV_HEADER)
     if not body:
         return np.empty((0, n_fields))
@@ -234,7 +228,7 @@ def _gaze_table_fast(path: str) -> np.ndarray | None:
 
 
 def parse_gaze_csv(path: str) -> GazeSeries:
-    """Strictly parse a gaze CSV into a series.
+    """Strictly parse a gaze CSV into a series, under the rules of ``read_gaze_rows``.
 
     The header must match the schema exactly; timestamps must be
     non-decreasing; confidences must lie in [0, 1]. NaN literals are accepted
@@ -247,26 +241,49 @@ def parse_gaze_csv(path: str) -> GazeSeries:
 
 
 def _parse_gaze_csv_lines(path: str) -> GazeSeries:
-    """Record-by-record reader behind ``parse_gaze_csv``; raises on the first bad line."""
-    rows: list[list[float]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GazeParseError("empty file (missing header)", path, 1) from None
-        if header != GAZE_CSV_HEADER:
-            raise GazeParseError(
-                f"bad header {header!r}, expected {GAZE_CSV_HEADER!r}", path, 1
-            )
-        prev_t = -math.inf
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw:
-                continue
-            row = parse_gaze_row(raw, path, line_no, prev_t)
-            prev_t = row[0]
-            rows.append(row)
+    """Line-by-line reader behind ``parse_gaze_csv``; raises on the first bad line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(read_gaze_rows(fh, path))
     return _series_from_table(np.asarray(rows, dtype=float).reshape(len(rows), 15))
+
+
+def read_gaze_rows(lines: Iterable[str], path: str) -> Iterator[list[float]]:
+    """Yield the 15 floats of each record in a gaze CSV's lines (a file or stream in universal-newline mode).
+
+    The header comes first; every line is stripped, blank lines are skipped,
+    and fields are split on ``,``, so a quoted field is refused. A bad line
+    raises :class:`GazeParseError` naming ``path`` and the line, after the
+    records before it.
+    """
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
+        raise GazeParseError("empty file (missing header)", path, 1)
+    header = first.strip().split(",")
+    if header != GAZE_CSV_HEADER:
+        raise GazeParseError(f"bad header {header!r}, expected {GAZE_CSV_HEADER!r}", path, 1)
+    n_fields = len(GAZE_CSV_HEADER)
+    inf = math.inf
+    prev_t = -inf
+    for line_no, raw in enumerate(lines, start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            values = list(map(float, fields))
+        except ValueError:
+            values = []
+        # The row rules as plain comparisons; _parse_gaze_row names the fault.
+        if (
+            len(values) != n_fields
+            or not (prev_t <= values[0] < inf and 0.0 <= values[1] <= 1.0 and 0.0 <= values[2] <= 1.0)
+            or inf in values
+            or -inf in values
+        ):
+            _parse_gaze_row(fields, path, line_no, prev_t)
+        prev_t = values[0]
+        yield values
 
 
 def write_manifest(path: str, trials: Sequence[TrialRecord], gaze_files: Sequence[str], depth_set_m: Sequence[float]) -> None:

@@ -140,36 +140,45 @@ class TargetSpec:
         return cls(pos, depth_m, 1.0 / depth_m)
 
 
+# The smallest positive normal double; a smaller sum of squares has lost precision.
+_MIN_NORMAL = 2.0**-1022
+
+
 def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
     """Angles in degrees between paired rows of two (n, 3) direction arrays.
 
     Each angle is the arccosine of the row pair's normalized dot product,
-    clipped to [-1, 1]. A row with a zero-norm or NaN vector gives NaN. A row
-    of finite components whose norms overflow (components above about 1.3e154)
-    is divided by its largest absolute component and computed again; every
-    other row keeps the bits of the unscaled computation.
+    clipped to [-1, 1]. A row with an all-zero or NaN vector gives NaN. A row
+    of finite, not-all-zero vectors whose norms overflow (components above
+    about 1.3e154) or whose sums of squares are subnormal or zero (every
+    component below about 1.5e-154) has each vector divided by its largest
+    absolute component and is computed again; every other row keeps the bits
+    of the unscaled computation.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        nl = np.linalg.norm(l_dir, axis=1)
-        nr = np.linalg.norm(r_dir, axis=1)
-        norms = nl * nr
+        # np.linalg.norm's own steps, keeping the sums of squares.
+        sl = np.add.reduce(l_dir * l_dir, axis=1)
+        sr = np.add.reduce(r_dir * r_dir, axis=1)
+        norms = np.sqrt(sl) * np.sqrt(sr)
         cos = np.einsum("ij,ij->i", l_dir, r_dir) / norms
         cos = np.clip(cos, -1.0, 1.0)
         out = np.degrees(np.arccos(cos))
-    zero = (nl == 0.0) | (nr == 0.0)
-    out[zero] = np.nan
-    overflow = ~np.isfinite(norms)
-    if overflow.any():
-        overflow &= ~zero & np.isfinite(l_dir).all(axis=1) & np.isfinite(r_dir).all(axis=1)
-        left, right = l_dir[overflow], r_dir[overflow]
-        out[overflow] = vergence_angles(
+    out[(sl == 0.0) | (sr == 0.0)] = np.nan
+    rescale = ~np.isfinite(norms) | (sl < _MIN_NORMAL) | (sr < _MIN_NORMAL)
+    if rescale.any():
+        rescale &= np.isfinite(l_dir).all(axis=1) & np.isfinite(r_dir).all(axis=1)
+        rescale &= l_dir.any(axis=1) & r_dir.any(axis=1)
+        left, right = l_dir[rescale], r_dir[rescale]
+        out[rescale] = vergence_angles(
             left / np.abs(left).max(axis=1, keepdims=True), right / np.abs(right).max(axis=1, keepdims=True)
         )
     return out
 
 
-# A gaze vector shorter than this (2**510) cannot overflow a sum of three
-# squares or products, so ``_vergence_angle_pair`` needs no overflow check.
+# Gaze vectors longer than 2**-510 and shorter than 2**510 have normal,
+# finite sums of squares and a finite dot product, so ``_vergence_angle_pair``
+# needs no rescale.
+_PAIR_NORM_FLOOR = 2.0**-510
 _PAIR_NORM_LIMIT = 2.0**510
 
 
@@ -180,17 +189,18 @@ def _vergence_angle_pair(l_dir: Sequence[float], r_dir: Sequence[float]) -> floa
     layout ``vergence_angles`` sees for one row: the sums of squares, the
     einsum dot product and the arccosine. The square roots, the product of
     the norms, the division, the clip and the conversion to degrees are
-    single IEEE operations on Python floats. A pair with a NaN, infinite or
-    overflowing vector goes to ``vergence_angles`` itself.
+    single IEEE operations on Python floats. A pair with a NaN, infinite,
+    overflowing, zero or very short vector goes to ``vergence_angles`` itself.
     """
-    if not (math.hypot(*l_dir) < _PAIR_NORM_LIMIT and math.hypot(*r_dir) < _PAIR_NORM_LIMIT):
+    if not (
+        _PAIR_NORM_FLOOR < math.hypot(*l_dir) < _PAIR_NORM_LIMIT
+        and _PAIR_NORM_FLOOR < math.hypot(*r_dir) < _PAIR_NORM_LIMIT
+    ):
         return float(vergence_angles(np.array([l_dir], dtype=float), np.array([r_dir], dtype=float))[0])
     pair = np.array((l_dir, r_dir), dtype=float)
     sl, sr = np.add.reduce(pair * pair, axis=1).tolist()
-    if sl == 0.0 or sr == 0.0:
-        return math.nan
-    # A positive sum of squares is at least 2**-1074, so each norm is at
-    # least 2**-537 and their product cannot underflow to zero.
+    # Both sums of squares are normal, so each norm is at least 2**-511 and
+    # their product cannot underflow to zero.
     cos = float(np.einsum("ij,ij->i", pair[:1], pair[1:])[0]) / (math.sqrt(sl) * math.sqrt(sr))
     return float(np.arccos(min(max(cos, -1.0), 1.0))) * (180.0 / math.pi)
 

@@ -5,6 +5,7 @@ then fixation windowing. Every filter returns a new trial, never deletes
 sample slots, only shrinks the valid set, and is idempotent. Boundary
 semantics: confidence strictly below threshold, velocity strictly above,
 outlier at or beyond k standard deviations, trial validity strictly above 50%.
+``VelocityGate`` holds the velocity rule, for ``calibration.DepthStream`` too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "PipelineConfig",
     "FixationConfig",
     "confidence_filter",
+    "VelocityGate",
     "velocity_filter",
     "outlier_filter",
     "session_gva_stats",
@@ -81,20 +83,29 @@ def confidence_filter(trial: TrialRecord, threshold: float = 0.75) -> TrialRecor
     return trial.with_samples(series)
 
 
-def _velocity_scan(t: np.ndarray, gva: np.ndarray, idx: np.ndarray, max_velocity: float) -> np.ndarray:
-    """Indices to invalidate: each candidate is tested against the last kept one."""
-    bad = []
-    ref = -1
-    for i in idx:
-        if ref < 0:
-            ref = i
-            continue
-        v = (gva[i] - gva[ref]) / (t[i] - t[ref])
-        if abs(v) > max_velocity:
-            bad.append(i)
-        else:
-            ref = i
-    return np.asarray(bad, dtype=int)
+class VelocityGate:
+    """The velocity rule, one candidate at a time, in strictly increasing time order.
+
+    A candidate is kept unless its vergence angle moves faster than
+    ``max_velocity`` deg/s from the last kept candidate.
+    """
+
+    def __init__(self, max_velocity: float):
+        self.max_velocity = max_velocity
+        self._last_t = -math.inf  # the last candidate's timestamp
+        self._kept: tuple[float, float] | None = None  # (t, gva) of the last kept candidate
+
+    def keep(self, t: float, gva: float) -> bool:
+        """Whether the candidate at ``t`` with angle ``gva`` passes; raises DomainError unless ``t`` follows the last."""
+        if not t > self._last_t:
+            raise DomainError(f"velocity gate requires strictly increasing timestamps: t={t!r} after {self._last_t!r}")
+        self._last_t = t
+        if self._kept is not None:
+            t0, g0 = self._kept
+            if abs((gva - g0) / (t - t0)) > self.max_velocity:
+                return False
+        self._kept = (t, gva)
+        return True
 
 
 def velocity_filter(trial: TrialRecord, max_velocity: float = 5000.0) -> TrialRecord:
@@ -102,28 +113,21 @@ def velocity_filter(trial: TrialRecord, max_velocity: float = 5000.0) -> TrialRe
 
     Velocity is measured from the previous surviving sample, so an isolated
     single-sample spike costs exactly one sample: once it is removed, its
-    successor is compared against the sample before the spike.
+    successor is compared against the sample before the spike (``VelocityGate``).
     """
     series = trial.samples.copy()
     candidates = np.flatnonzero(
         (series.status == SampleStatus.VALID) | (series.status == SampleStatus.VELOCITY_SPIKE)
     )
-    series.status[series.status == SampleStatus.VELOCITY_SPIKE] = SampleStatus.VALID
-    if len(candidates) < 2:
-        return trial.with_samples(series)
-    t = series.t_s
-    g = series.gva_deg
-    dt = np.diff(t[candidates])
-    if np.any(dt <= 0):
+    gate = VelocityGate(max_velocity)
+    try:
+        kept = list(map(gate.keep, series.t_s[candidates].tolist(), series.gva_deg[candidates].tolist()))
+    except DomainError:
         raise DomainError(
             f"participant {trial.participant_id} environment {trial.environment} trial {trial.trial_id}: "
             "velocity filter requires strictly increasing timestamps"
-        )
-    # Fast path: with no adjacent pair over the limit, the scan cannot trigger.
-    adjacent = np.abs(np.diff(g[candidates]) / dt)
-    if np.any(adjacent > max_velocity):
-        bad = _velocity_scan(t, g, candidates, max_velocity)
-        series.status[bad] = SampleStatus.VELOCITY_SPIKE
+        ) from None
+    series.status[candidates] = np.where(kept, SampleStatus.VALID, SampleStatus.VELOCITY_SPIKE)
     return trial.with_samples(series)
 
 

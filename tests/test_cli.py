@@ -104,7 +104,7 @@ class TestPipelineChain:
             "0.03", "0.0", "0.0",
             repr(float(-np.sin(half))), "0.0", repr(float(np.cos(half))),
         ]
-        r = run_cli("estimate", "--model", str(model_path), input_text=",".join(fields) + "\n")
+        r = run_cli("estimate", "--model", str(model_path), input_text=_gaze_rows(fields))
         assert r.returncode == 0, r.stderr
         t, gva, meters = r.stdout.strip().split(",")
         assert float(gva) == pytest.approx(24.3, abs=1e-9)
@@ -117,7 +117,7 @@ class TestPipelineChain:
         model_path = tmp_path / "m.json"
         dataio.write_models_json(str(model_path), models)
         fields = ["0.0", "0.1", "1.0"] + ["0.0", "0.0", "0.0"] + ["0.0", "0.0", "1.0"] * 3
-        r = run_cli("estimate", "--model", str(model_path), input_text=",".join(fields) + "\n")
+        r = run_cli("estimate", "--model", str(model_path), input_text=_gaze_rows(fields))
         assert r.returncode == 0
         assert r.stdout == ""
 
@@ -248,6 +248,12 @@ MALFORMED_CLI = {
     "estimate_inf_vector": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(8, "-inf"))),
     "estimate_fourteen_fields": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(GAZE_ROW[:14])),
     "estimate_unparseable": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], _gaze_rows(_with_field(4, "x"))),
+    # stdin follows the gaze-file rules: the header comes first, and only once.
+    "estimate_missing_header": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [], ",".join(GAZE_ROW) + "\n"),
+    "estimate_repeated_header": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, [],
+                                 _gaze_rows(GAZE_ROW) + ",".join(dataio.GAZE_CSV_HEADER) + "\n"),
+    # A field longer than csv's field size limit (131,072 characters).
+    "preprocess_long_field": ("preprocess", {"--in": ("dataset", _gaze_rows(_with_field(0, "1" * 140_000)))}, [], None),
     "report_analysis_list": ("report", {"--analysis": "[]"}, ["--out", "OUT"], None),
     "report_analysis_scalar": ("report", {"--analysis": "3"}, ["--out", "OUT"], None),
     # The simulator rejects --seed -1, so a design file whose shape goes

@@ -82,7 +82,7 @@ def _pushed(rows, sizes, model, confidence, max_velocity):
 
 
 # Both vectors scaled: squares that are subnormal (1e-160), that underflow to
-# zero (1e-170, a zero norm), and that overflow (above 1.3e154).
+# zero (1e-170), and that overflow (above 1.3e154); each keeps its angle.
 SCALED_KINDS = {"subnormal": 1e-160, "underflow": 1e-170, "huge": 1e200, "huger": 3e300}
 
 
@@ -162,14 +162,17 @@ class TestDepthStreamOracle:
             _row(0.020, 1.0, 60.0, "spike"),  # 2,750 deg/s from the row at t = 0
             _row(0.025, 1.0, 5.5, "normal"),
             _row(0.030, 1.0, 5.6, "huge"),  # its norms overflow, its angle does not
+            _row(0.035, 1.0, 5.7, "subnormal"),  # its squares are subnormal, its angle is not
+            _row(0.040, 1.0, 5.8, "underflow"),  # its squares underflow to zero, its angle does not
             _row(0.200, 1.0, 0.2, "far"),  # kept, but outside the calibrated range
         ]
         got = list(DepthStream(MODEL, 0.75, 1000.0).push(rows))
-        assert [round(t, 3) for t, _, _ in got] == [0.0, 0.025, 0.03, 0.2]
+        assert [round(t, 3) for t, _, _ in got] == [0.0, 0.025, 0.03, 0.035, 0.04, 0.2]
         assert got[1][2] == estimate_depth(got[1][1], MODEL)[1]
-        (unscaled,) = DepthStream(MODEL).push([_row(0.030, 1.0, 5.6, "normal")])
-        assert got[2][1] == pytest.approx(unscaled[1], abs=1e-12)
-        assert math.isnan(got[3][2])
+        for i, gva in ((2, 5.6), (3, 5.7), (4, 5.8)):
+            (unscaled,) = DepthStream(MODEL).push([_row(got[i][0], 1.0, gva, "normal")])
+            assert got[i][1] == pytest.approx(unscaled[1], abs=1e-12)
+        assert math.isnan(got[5][2])
         one_row = DepthStream(MODEL, 0.75, 1000.0)
         assert repr([out for row in rows for out in one_row.push([row])]) == repr(got)
 

@@ -1,13 +1,17 @@
 """The vectorised gaze-CSV writer and reader against their record-by-record references.
 
 ``reference_write_gaze_csv`` is the ``csv.writer`` loop the fast writer
-replaced; ``dataio._parse_gaze_csv_lines`` is the per-line reader that the
-fast reader hands every file it does not accept. Files must match byte for
-byte, parsed arrays bit for bit (NaN-aware), and on malformed input the two
-readers must agree on the exception type and message.
+replaced; ``dataio._parse_gaze_csv_lines`` is the per-line reader
+(``dataio.read_gaze_rows``) that the fast reader hands every file it does not
+accept. Files must match byte for byte, parsed arrays bit for bit
+(NaN-aware), and on malformed input the two readers must agree on the
+exception type and message. ``estimate`` reads stdin with the same line
+reader, so a gaze file and the same text on stdin are accepted or refused
+alike.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -15,8 +19,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import series_from_gva
+from conftest import run_cli, series_from_gva
 from vergescope import dataio
+from vergescope.calibration import ParticipantModel
 from vergescope.errors import GazeParseError
 from vergescope.recording import GazeSeries
 from vergescope.synth import CohortConfig, ExperimentDesign, simulate_cohort
@@ -290,7 +295,7 @@ MALFORMED = {
     "sixteen_fields": (body(ROW, ROW + ["0.0"]), GazeParseError),
     "fourteen_then_sixteen": (body(ROW[:14], ROW + ["0.0"]), GazeParseError),
     "blank_lines": (HEADER + "\n\n" + ",".join(ROW) + "\r\n\r\n" + ",".join(with_field(0, "1.0")) + "\n\n", None),
-    "quoted_field": (body(with_field(3, '"0.5"')), None),
+    "quoted_field": (body(with_field(3, '"0.5"')), GazeParseError),
     "quoted_comma": (body(with_field(3, '"0,5"')), GazeParseError),
     "lone_cr_endings": (body(ROW, with_field(0, "0.5"), ending="\r"), None),
     "lone_cr_mid_row": (HEADER + "\n" + ",".join(ROW[:5]) + "\r" + ",".join(ROW[5:]) + "\n", GazeParseError),
@@ -310,8 +315,13 @@ MALFORMED = {
     "padded_whitespace": (body(with_field(4, " 0.5 "), with_field(0, "\t2.0")), None),
     "empty_field": (body(with_field(5, "")), GazeParseError),
     "unparseable": (body(with_field(3, "x")), GazeParseError),
-    "nul_byte": (body(with_field(3, "0\x00")), (GazeParseError, csv.Error)),  # csv.Error before Python 3.11
+    "nul_byte": (body(with_field(3, "0\x00")), GazeParseError),
     "nan_vector_ok": (body(with_field(6, "nan")), None),
+    "whitespace_line": (body(ROW) + " \t \n" + ",".join(with_field(0, "1.0")) + "\n", None),
+    "padded_header": (" " + HEADER + " \r\n" + ",".join(ROW) + "\r\n", None),
+    "long_field": (body(with_field(4, "0" * 140_000 + ".5")), None),
+    "long_bad_field": (body(with_field(0, "1" * 140_000)), GazeParseError),
+    "repeated_header": (body(ROW) + HEADER + "\n", GazeParseError),
 }
 
 
@@ -351,3 +361,44 @@ class TestMalformedTable:
         path = tmp_path / "latin.csv"
         path.write_bytes(body(ROW).encode() + b"\xff\n")
         assert_readers_agree(str(path))
+
+
+# Inputs on which the batch reader and ``estimate`` once disagreed, or whose
+# handling differs from a ``csv.reader``'s.
+PARITY = [
+    "quoted_field", "empty_file", "blank_first_line", "header_with_bom", "repeated_header", "blank_lines",
+    "crlf_endings", "lone_cr_endings", "lone_cr_mid_row", "padded_whitespace", "whitespace_line", "padded_header",
+    "long_field", "long_bad_field",
+]
+PARITY_INPUTS = {**{name: MALFORMED[name][0] for name in PARITY}, "no_header": ",".join(ROW) + "\n"}
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parity") / "models.json"
+    dataio.write_models_json(str(path), {"p01": ParticipantModel("p01", 17.5, 1.7, 0.0, 4)})
+    return str(path)
+
+
+class TestReaderParity:
+    """A gaze file and the same text on ``estimate``'s stdin: both accepted, or both refused with one message."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_INPUTS))
+    def test_file_and_stdin_agree(self, tmp_path, model_path, name):
+        text = PARITY_INPUTS[name]
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode())
+        kind, result = outcome(dataio.parse_gaze_csv, str(path))
+        r = run_cli("estimate", "--model", model_path, input_text=text)
+        if kind == "raised":
+            assert r.returncode == 2, r.stderr
+            assert json.loads(r.stderr)["error"] == {
+                "type": result[0].__name__,
+                "message": result[1].replace(str(path), "<stdin>"),
+            }
+        else:
+            assert (r.returncode, r.stderr) == (0, ""), (result, r.stderr)
+            # the stream's rows are the file's: same output as the file written out canonically
+            canonical = tmp_path / "canonical.csv"
+            dataio.write_gaze_csv(str(canonical), result)
+            assert r.stdout == run_cli("estimate", "--model", model_path, input_text=canonical.read_text()).stdout

@@ -167,7 +167,7 @@ class TestOnePairKernel:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(vector_pairs(), min_size=1, max_size=30))
-    def test_only_overflowing_rows_change(self, pairs):
+    def test_only_rescaled_rows_change(self, pairs):
         left = np.array([p[0] for p in pairs], dtype=float)
         right = np.array([p[1] for p in pairs], dtype=float)
         got = vergence_angles(left, right)
@@ -175,10 +175,13 @@ class TestOnePairKernel:
         with np.errstate(over="ignore", invalid="ignore"):
             nl, nr = np.linalg.norm(left, axis=1), np.linalg.norm(right, axis=1)
             norms = nl * nr
-        # rows of finite components whose norm product overflows; a norm
-        # that underflows to zero still gives NaN
+        # rows of finite, not-all-zero vectors whose norm product overflows or
+        # whose norms are below 2**-511, where the sum of squares is subnormal
+        # or zero
         finite_rows = np.isfinite(left).all(axis=1) & np.isfinite(right).all(axis=1)
-        rescued = finite_rows & ~np.isfinite(norms) & (nl != 0.0) & (nr != 0.0)
+        nonzero_rows = left.any(axis=1) & right.any(axis=1)
+        short = (nl < 2.0**-511) | (nr < 2.0**-511)
+        rescued = finite_rows & nonzero_rows & (~np.isfinite(norms) | short)
         assert _same_bits(got[~rescued], old[~rescued]).all()
         if rescued.any():
             left, right = left[rescued], right[rescued]
@@ -186,6 +189,16 @@ class TestOnePairKernel:
                 left / np.abs(left).max(axis=1, keepdims=True), right / np.abs(right).max(axis=1, keepdims=True)
             )
             assert _same_bits(got[rescued], scaled).all()
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162, 1e-170, 1e-300])
+    def test_underflowing_vector_keeps_its_angle(self, scale):
+        half = math.radians(5.5997) / 2.0
+        l_dir, r_dir = (math.sin(half), 0.01, math.cos(half)), (-math.sin(half), 0.01, math.cos(half))
+        unscaled = vergence_angles(np.array([l_dir]), np.array([r_dir]))[0]
+        tiny = vergence_angles(np.array([l_dir]) * scale, np.array([r_dir]) * scale)[0]
+        assert tiny == pytest.approx(unscaled, abs=1e-12)
+        assert _same_bits(_vergence_angle_pair([c * scale for c in l_dir], [c * scale for c in r_dir]), tiny)
+        assert math.isnan(vergence_angles(np.array([[0.0, -0.0, 0.0]]), np.array([r_dir]))[0])
 
     def test_overflowing_vector_keeps_its_angle(self):
         big = vergence_angles(np.array([[1e200, 0.0, 1e200]]), np.array([[-1e200, 0.0, 1e200]]))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import trial_from_gva
+from vergescope.calibration import DepthStream, ParticipantModel
 from vergescope.errors import DomainError, NoFixationError, ShortTrialError
 from vergescope.pipeline import (
     analysis_window,
@@ -17,7 +20,7 @@ from vergescope.pipeline import (
     trial_validity,
     velocity_filter,
 )
-from vergescope.recording import SampleStatus
+from vergescope.recording import GazeSeries, SampleStatus
 from vergescope.synth import (
     ExperimentDesign,
     NoiseModel,
@@ -116,6 +119,162 @@ class TestVelocityFilter:
         out = velocity_filter(trial)
         assert out.samples.status[40] == SampleStatus.LOW_CONFIDENCE
         assert out.samples.status_counts()["velocity_spike"] == 0
+
+
+def reference_velocity_scan(t, gva, idx, max_velocity):
+    """Indices to invalidate: each candidate is tested against the last kept one."""
+    bad = []
+    ref = -1
+    for i in idx:
+        if ref < 0:
+            ref = i
+            continue
+        v = (gva[i] - gva[ref]) / (t[i] - t[ref])
+        if abs(v) > max_velocity:
+            bad.append(i)
+        else:
+            ref = i
+    return np.asarray(bad, dtype=int)
+
+
+def reference_velocity_filter(trial, max_velocity=5000.0):
+    """``velocity_filter`` as it was before ``VelocityGate``: an adjacent-pair fast path, then the scan."""
+    series = trial.samples.copy()
+    candidates = np.flatnonzero(
+        (series.status == SampleStatus.VALID) | (series.status == SampleStatus.VELOCITY_SPIKE)
+    )
+    series.status[series.status == SampleStatus.VELOCITY_SPIKE] = SampleStatus.VALID
+    if len(candidates) < 2:
+        return trial.with_samples(series)
+    t = series.t_s
+    g = series.gva_deg
+    dt = np.diff(t[candidates])
+    if np.any(dt <= 0):
+        raise DomainError(
+            f"participant {trial.participant_id} environment {trial.environment} trial {trial.trial_id}: "
+            "velocity filter requires strictly increasing timestamps"
+        )
+    adjacent = np.abs(np.diff(g[candidates]) / dt)
+    if np.any(adjacent > max_velocity):
+        bad = reference_velocity_scan(t, g, candidates, max_velocity)
+        series.status[bad] = SampleStatus.VELOCITY_SPIKE
+    return trial.with_samples(series)
+
+
+def _filtered(velocity, trial, max_velocity):
+    """(status array, None) or (None, error message)."""
+    try:
+        return velocity(trial, max_velocity).samples.status, None
+    except DomainError as exc:
+        return None, str(exc)
+
+
+# Slot kinds: a steady sample, a jump of up to 80 deg from the baseline (many
+# above the limit, some below), low confidence, a NaN vector (missing), and a
+# timestamp repeating the previous slot's.
+SLOT_KINDS = ["steady", "steady", "jump", "jump", "low_confidence", "missing", "repeat"]
+
+
+def spike_train(kinds, jumps, rate_hz=200.0, base=10.0, exact=False):
+    """A confidence-filtered trial built slot by slot from ``kinds`` and the angle ``jumps`` of its jump slots.
+
+    ``exact`` sets the angles themselves instead of the ones the gaze vectors
+    give, so that with 256 Hz timestamps a jump can hit the limit exactly.
+    """
+    gva = [base + j if k == "jump" else math.nan if k == "missing" else base for k, j in zip(kinds, jumps)]
+    l_conf = [0.0 if k == "low_confidence" else 1.0 for k in kinds]
+    trial = trial_from_gva(gva, rate_hz=rate_hz, l_conf=l_conf)
+    s = trial.samples
+    t = s.t_s.copy()
+    for i, k in enumerate(kinds):
+        if k == "repeat" and i:
+            t[i] = t[i - 1]
+    exact_gva = np.array(gva) if exact else None
+    series = GazeSeries(t, s.l_origin, s.l_dir, s.r_origin, s.r_dir, s.l_conf, s.r_conf, s.status, exact_gva)
+    return confidence_filter(trial.with_samples(series))
+
+
+# Multiples of 1000/256 deg: at 256 Hz, a jump of 1000/256 * k deg over k slots
+# moves at exactly 1,000 deg/s, one of 5000/256 * k at exactly 5,000 deg/s.
+TIE_JUMPS = st.integers(-2, 25).map(lambda j: j * 1000.0 / 256.0)
+
+
+@st.composite
+def spike_trains(draw, ties=True):
+    """Spike trains; with ``ties``, half of them have exact angles that can move at exactly the limit."""
+    kinds = draw(st.lists(st.sampled_from(SLOT_KINDS), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        kinds = ["steady"] + [k for k in kinds if k != "repeat"]
+    if ties and draw(st.booleans()):
+        jumps = draw(st.lists(TIE_JUMPS, min_size=len(kinds), max_size=len(kinds)))
+        return spike_train(kinds, jumps, 256.0, float(draw(st.integers(2, 15))), exact=True)
+    jumps = draw(st.lists(st.floats(-8.0, 80.0), min_size=len(kinds), max_size=len(kinds)))
+    return spike_train(kinds, jumps, draw(st.sampled_from([60.0, 200.0, 1000.0])), draw(st.floats(2.0, 15.0)))
+
+
+# name -> (slot kinds, jump per slot in deg); at 200 Hz a 25 deg jump in one
+# slot is 5,000 deg/s.
+TRAIN_EXAMPLES = {
+    "consecutive_spikes": (["steady", "jump", "jump", "jump", "steady", "steady"], [0, 60, 70, 80, 0, 0]),
+    "spikes_first_and_last": (["jump", "steady", "steady", "steady", "jump"], [40, 0, 0, 0, 40]),
+    "all_spikes": (["jump"] * 6, [0, 30, 60, 90, 120, 150]),
+    "gaps": (["steady", "low_confidence", "jump", "missing", "low_confidence", "jump", "steady", "missing", "steady"],
+             [0, 0, 60, 0, 0, 26, 0, 0, 0]),
+    "repeat_after_gap": (["steady", "low_confidence", "repeat", "steady"], [0] * 4),
+    "at_the_limit": (["steady", "jump", "steady", "jump", "jump"], [0, 5000.0 / 256, 0, 10000.0 / 256, 20000.0 / 256],
+                     256.0, 10.0, True),
+}
+MODEL = ParticipantModel("p01", 0.5, 3.5, 0.1, 8)
+
+
+class TestVelocityOracle:
+    """``velocity_filter`` and ``DepthStream``, both on ``VelocityGate``, against the scan the gate replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spike_trains(), st.sampled_from([1000.0, 5000.0]))
+    def test_statuses_bitwise_equal_to_reference(self, trial, max_velocity):
+        self._check(trial, max_velocity)
+
+    @pytest.mark.parametrize("name", sorted(TRAIN_EXAMPLES))
+    @pytest.mark.parametrize("max_velocity", [1000.0, 5000.0])
+    def test_named_trains(self, name, max_velocity):
+        self._check(spike_train(*TRAIN_EXAMPLES[name]), max_velocity)
+
+    def _check(self, trial, max_velocity):
+        got, error = _filtered(velocity_filter, trial, max_velocity)
+        expected, expected_error = _filtered(reference_velocity_filter, trial, max_velocity)
+        assert error == expected_error
+        if error is None:
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+            # re-filtering is idempotent, and spike marks are re-tested as the reference re-tests them
+            again = trial.with_samples(trial.samples.copy())
+            again.samples.status[:] = got
+            np.testing.assert_array_equal(velocity_filter(again, max_velocity).samples.status, got)
+            np.testing.assert_array_equal(reference_velocity_filter(again, max_velocity).samples.status, got)
+
+    @settings(max_examples=200, deadline=None)
+    @example(spike_train(*TRAIN_EXAMPLES["consecutive_spikes"]), [1], 5000.0)
+    @example(spike_train(*TRAIN_EXAMPLES["repeat_after_gap"]), [2, 9], 5000.0)
+    @given(spike_trains(ties=False), st.lists(st.integers(1, 9), min_size=1, max_size=5),
+           st.sampled_from([1000.0, 5000.0]))
+    def test_depth_stream_keeps_the_valid_rows(self, trial, sizes, max_velocity):
+        s = trial.samples
+        rows = np.column_stack([s.t_s, s.l_conf, s.r_conf, s.l_origin, s.l_dir, s.r_origin, s.r_dir]).tolist()
+        stream = DepthStream(MODEL, 0.75, max_velocity)
+        kept, error, start = [], None, 0
+        try:
+            while start < len(rows):
+                block = rows[start : start + sizes[len(kept) % len(sizes)]]
+                start += len(block)
+                kept.extend((t, gva) for t, gva, _ in stream.push(block))
+        except DomainError:
+            error = DomainError
+        status, filter_error = _filtered(velocity_filter, trial, max_velocity)
+        assert error is (None if filter_error is None else DomainError)
+        if error is None:
+            valid = status == SampleStatus.VALID
+            assert repr(kept) == repr(list(zip(s.t_s[valid].tolist(), s.gva_deg[valid].tolist())))
 
 
 class TestOutlierFilter:
