@@ -20,7 +20,7 @@ from . import dataio
 from .analysis import condition_means, run_analysis
 from .calibration import DepthStream, fit_participants
 from .errors import GazeParseError, UsageError, VergescopeError
-from .pipeline import FixationConfig, PipelineConfig, preprocess_dataset
+from .pipeline import FixationConfig, PipelineConfig, preprocess_sessions
 from .report import render_analysis
 from .synth import CohortConfig, ExperimentDesign, simulate_cohort
 
@@ -64,7 +64,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    trials = dataio.load_dataset_trials(args.indir)
     config = PipelineConfig(
         confidence_threshold=args.confidence,
         max_velocity_deg_s=args.max_velocity,
@@ -72,7 +71,7 @@ def _cmd_preprocess(args) -> int:
         outlier_scope=args.sd_scope,
         fixation=FixationConfig(),
     )
-    processed, validity = preprocess_dataset(trials, config)
+    processed, validity = preprocess_sessions(dataio.iter_dataset_sessions(args.indir), config)
     outdir = args.out or args.indir
     os.makedirs(outdir, exist_ok=True)
     table_path = os.path.join(outdir, "gva_table.csv")

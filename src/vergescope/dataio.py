@@ -20,15 +20,33 @@ same message, path and line.
 The GVA table holds one ``pipeline.ProcessedTrial`` per line, and
 ``parse_gva_table_csv`` reads the same type back, without the fixation onset
 and sample counts that the table does not carry.
+
+``canonical_json`` gives the text of ``json.dumps(..., sort_keys=True,
+indent=2, allow_nan=False)`` plus a newline, after dict keys become ``str``,
+tuples lists, numpy scalars Python ones and non-finite floats ``None``. It is
+made in one pass over the object, with no converted copy: a container whose
+values are all scalars is encoded in one call to a ``json.JSONEncoder`` kept
+per nesting level, whose item separator carries that level's indent, and
+every other piece is written as it is made.
+``write_json`` sends those pieces straight to its file, so a large ledger is
+never held as text; a value that cannot be serialized raises ``TypeError``
+and can leave a partial file behind.
+
+``iter_dataset_sessions`` yields a dataset's trials one (participant,
+environment) session at a time, parsing a session's gaze files only when it
+is requested, so ``preprocess`` holds one session's samples at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 import math
 import os
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -57,6 +75,7 @@ __all__ = [
     "write_json",
     "write_dataset",
     "load_dataset_trials",
+    "iter_dataset_sessions",
 ]
 
 GAZE_CSV_HEADER = [
@@ -84,34 +103,84 @@ def _round9(x: float) -> float:
 
 
 def _jsonable(obj, quantize: bool):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v, quantize) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v, quantize) for v in obj]
+    """One scalar as JSON sees it: floats rounded (or None when not finite), numpy scalars as Python ones."""
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         if not math.isfinite(x):
             return None
         return _round9(x) if quantize else x
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
     return obj
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=None)
+def _level_encoder(level: int) -> json.JSONEncoder:
+    """Encodes a container at nesting ``level`` whose values are all scalars, as ``indent=2`` lays out its items."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _write_canonical(write, obj, quantize: bool, level: int = 0) -> None:
+    """Write ``obj`` at nesting ``level`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, piece by piece."""
+    encode = _level_encoder(level).encode
+    if isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+        values, opening, closing = obj.values(), "{", "}"
+    elif isinstance(obj, (list, tuple)):
+        values, opening, closing = obj, "[", "]"
+    else:
+        write(encode(_jsonable(obj, quantize)))
+        return
+    if not obj:
+        write(opening + closing)
+        return
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    if not any(isinstance(v, _CONTAINERS) for v in values):
+        if opening == "{":
+            flat = {k: _jsonable(v, quantize) for k, v in obj.items()}
+        else:
+            flat = [_jsonable(v, quantize) for v in obj]
+        write(opening + inner + encode(flat)[1:-1] + outer + closing)
+        return
+    if opening == "{":
+        items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
+    else:
+        items = zip(repeat(""), obj)
+    separator = opening + inner
+    for prefix, value in items:
+        write(separator + prefix)
+        separator = "," + inner
+        _write_canonical(write, value, quantize, level + 1)
+    write(outer + closing)
 
 
 def canonical_json(obj, precise: bool = False) -> str:
     """Deterministic JSON text: sorted keys; floats at 9 significant digits.
 
-    ``precise`` keeps full float precision, for data files (manifests, the
-    ground-truth ledger) whose values must round-trip exactly.
+    The text is ``json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False)`` plus a newline, after every dict key is made a
+    ``str``, every tuple a list, every numpy scalar a Python one and every
+    non-finite float ``None``. ``precise`` keeps full float precision, for
+    data files (manifests, the ground-truth ledger) whose values must
+    round-trip exactly. A value JSON cannot hold raises ``TypeError``.
     """
-    return json.dumps(_jsonable(obj, not precise), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    buffer = io.StringIO()
+    _write_canonical(buffer.write, obj, not precise)
+    buffer.write("\n")
+    return buffer.getvalue()
 
 
 def write_json(path: str, obj, precise: bool = False) -> None:
+    """Write ``canonical_json(obj, precise)`` to ``path`` without building the text first."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj, precise))
+        _write_canonical(fh.write, obj, not precise)
+        fh.write("\n")
 
 
 def write_gaze_csv(path: str, series: GazeSeries) -> None:
@@ -338,6 +407,11 @@ def load_session_trials(manifest_path: str, validate_chaining: bool = False) -> 
                     f"but the previous trial ended at {entries[i - 1]['end_depth_m']} m",
                     manifest_path,
                 )
+    return _manifest_trials(doc, manifest_path)
+
+
+def _manifest_trials(doc: dict, manifest_path: str) -> list[TrialRecord]:
+    """The trials of a loaded manifest, with their gaze files parsed."""
     depth_set = [float(d) for d in doc.get("depth_set_m", [])]
     base = os.path.dirname(os.path.abspath(manifest_path))
     out = []
@@ -536,13 +610,31 @@ def write_dataset(outdir: str, dataset: SimulatedDataset) -> None:
         )
 
 
-def load_dataset_trials(datadir: str) -> list[TrialRecord]:
-    """Load every session manifest under ``datadir/manifests``."""
+def _manifest_paths(datadir: str) -> list[str]:
     mandir = os.path.join(datadir, "manifests")
     if not os.path.isdir(mandir):
         raise GazeParseError(f"no manifests directory under {datadir!r}", datadir)
-    trials: list[TrialRecord] = []
-    for name in sorted(os.listdir(mandir)):
-        if name.endswith(".json"):
-            trials.extend(load_session_trials(os.path.join(mandir, name)))
-    return trials
+    return [os.path.join(mandir, name) for name in sorted(os.listdir(mandir)) if name.endswith(".json")]
+
+
+def load_dataset_trials(datadir: str) -> list[TrialRecord]:
+    """Load every session manifest under ``datadir/manifests``, in file-name order."""
+    return [t for path in _manifest_paths(datadir) for t in load_session_trials(path)]
+
+
+def iter_dataset_sessions(datadir: str) -> Iterator[list[TrialRecord]]:
+    """Yield the trials of each (participant, environment) session under ``datadir/manifests``, one session at a time.
+
+    Every manifest is read first; the sessions then come in sorted order,
+    each holding the trials of all its manifests in file-name order, so a
+    session split across manifests is pooled as ``pipeline.preprocess_dataset``
+    pools ``load_dataset_trials``. A session's gaze files are parsed only when
+    it is requested, and the generator keeps no reference to the trials it
+    has yielded.
+    """
+    manifests: dict[tuple[str, str], list[tuple[str, dict]]] = {}
+    for path in _manifest_paths(datadir):
+        doc = load_manifest(path)
+        manifests.setdefault((doc["participant_id"], doc["environment"]), []).append((path, doc))
+    for key in sorted(manifests):
+        yield [t for path, doc in manifests.pop(key) for t in _manifest_trials(doc, path)]

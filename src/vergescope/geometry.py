@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-9
+# The smallest positive normal double; a smaller sum of squares has lost precision.
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,20 @@ class Vec3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def normalized(self) -> "Vec3":
-        n = self.norm()
-        if n == 0.0:
-            raise DegenerateInputError("cannot normalize a zero-norm vector")
-        return Vec3(self.x / n, self.y / n, self.z / n)
+        """The unit vector along this one; raises DegenerateInputError for an all-zero vector.
+
+        A vector whose sum of squares is subnormal or zero (every component
+        below about 1.5e-154) is first divided by its largest absolute
+        component; every other vector is divided by ``norm()`` as it is.
+        """
+        v = self
+        if v.x * v.x + v.y * v.y + v.z * v.z < _MIN_NORMAL:
+            largest = max(abs(v.x), abs(v.y), abs(v.z))
+            if largest == 0.0:
+                raise DegenerateInputError("cannot normalize a zero-norm vector")
+            v = Vec3(v.x / largest, v.y / largest, v.z / largest)
+        n = v.norm()
+        return Vec3(v.x / n, v.y / n, v.z / n)
 
     def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -140,10 +152,6 @@ class TargetSpec:
         return cls(pos, depth_m, 1.0 / depth_m)
 
 
-# The smallest positive normal double; a smaller sum of squares has lost precision.
-_MIN_NORMAL = 2.0**-1022
-
-
 def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
     """Angles in degrees between paired rows of two (n, 3) direction arrays.
 
@@ -215,12 +223,13 @@ def vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool 
     ``project_horizontal=True`` zeroes the vertical components first,
     measuring the angle in the horizontal plane only. Result is in [0, 180],
     symmetric in its arguments, and invariant to positive rescaling of either
-    vector.
+    vector. Raises DegenerateInputError only when a vector's components are
+    all zero; a tiny non-zero vector gets the kernel's rescaled angle.
     """
     if project_horizontal:
         left_dir = Vec3(left_dir.x, 0.0, left_dir.z)
         right_dir = Vec3(right_dir.x, 0.0, right_dir.z)
-    if left_dir.norm() == 0.0 or right_dir.norm() == 0.0:
+    if not any(left_dir.as_tuple()) or not any(right_dir.as_tuple()):
         raise DegenerateInputError("vergence_angle requires nonzero gaze vectors")
     return _vergence_angle_pair(left_dir.as_tuple(), right_dir.as_tuple())
 

@@ -14,6 +14,8 @@ import math
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +37,7 @@ __all__ = [
     "trial_validity",
     "ProcessedTrial",
     "process_session",
+    "preprocess_sessions",
     "preprocess_dataset",
     "validity_gate",
     "cascade_validity",
@@ -351,22 +354,40 @@ def process_session(trials: Sequence[TrialRecord], config: PipelineConfig | None
     return [_finish_trial(t, config) for t in cleaned]
 
 
+def preprocess_sessions(
+    sessions: Iterable[Sequence[TrialRecord]],
+    config: PipelineConfig | None = None,
+) -> tuple[list[ProcessedTrial], "ValidityReport"]:
+    """Clean sessions one at a time and compute the hierarchical validity report.
+
+    Each item of ``sessions`` holds one (participant, environment) session's
+    trials. ``process_session`` runs on it as it arrives, and only its
+    ``ProcessedTrial`` rows are kept, so a generator of sessions (such as
+    ``dataio.iter_dataset_sessions``) never has more than one session's
+    samples in memory. The rows are sorted by (participant, environment,
+    trial), a stable sort over the sessions' order.
+    """
+    config = config or PipelineConfig()
+    # map drops each session's trials as soon as process_session returns.
+    processed = list(chain.from_iterable(map(partial(process_session, config=config), sessions)))
+    processed.sort(key=lambda p: (p.participant_id, p.environment, p.trial_id))
+    return processed, cascade_validity(processed, config)
+
+
 def preprocess_dataset(
     trials: Iterable[TrialRecord],
     config: PipelineConfig | None = None,
 ) -> tuple[list[ProcessedTrial], "ValidityReport"]:
     """Clean every trial and compute the hierarchical validity report.
 
-    Sessions (participant, environment) are independent work units, run one
-    after another; the output is sorted by (participant, environment, trial).
+    The trials are grouped into (participant, environment) sessions, in the
+    order they arrive within each session, and the sessions go through
+    ``preprocess_sessions`` in sorted order.
     """
-    config = config or PipelineConfig()
     sessions: dict[tuple[str, str], list[TrialRecord]] = defaultdict(list)
     for t in trials:
         sessions[(t.participant_id, t.environment)].append(t)
-    processed = [pt for k in sorted(sessions) for pt in process_session(sessions[k], config)]
-    processed.sort(key=lambda p: (p.participant_id, p.environment, p.trial_id))
-    return processed, cascade_validity(processed, config)
+    return preprocess_sessions((sessions[k] for k in sorted(sessions)), config)
 
 
 @dataclass

@@ -352,3 +352,83 @@ class TestMalformedInputContract:
         assert r.returncode == 2
         doc = json.loads(r.stderr)
         assert doc["error"] == {"type": "GazeParseError", "message": "r_conf 1.5 outside [0, 1] [<stdin>:3]"}
+
+
+@pytest.fixture(scope="module")
+def streamed_dataset(tmp_path_factory):
+    """A 2-participant, 1-repetition dataset written by ``simulate``."""
+    base = tmp_path_factory.mktemp("sessions")
+    design_path = base / "design.json"
+    design_path.write_text(json.dumps({"design": {"n_participants": 2, "repetitions": 1}}))
+    data = base / "data"
+    assert main(["simulate", "--design", str(design_path), "--seed", "7", "--out", str(data)]) == 0
+    return data
+
+
+def _copy_dataset(src, dst):
+    import shutil
+
+    shutil.copytree(src, dst)
+    return dst
+
+
+def _rename_out_of_order(data):
+    """Prefix the manifests so that file-name order reverses (participant, environment) order."""
+    names = sorted(os.listdir(data / "manifests"))
+    for i, name in enumerate(names):
+        os.rename(data / "manifests" / name, data / "manifests" / f"{len(names) - i:02d}_{name}")
+
+
+def _split_a_session(data):
+    """Split p01_Real across two manifests, the later half in a file that sorts first."""
+    path = data / "manifests" / "p01_Real.json"
+    doc = json.loads(path.read_text())
+    half = len(doc["trials"]) // 2
+    first, second = dict(doc, trials=doc["trials"][:half]), dict(doc, trials=doc["trials"][half:])
+    dataio.write_json(str(path), first, precise=True)
+    dataio.write_json(str(data / "manifests" / "a_late_half_of_p01_Real.json"), second, precise=True)
+
+
+class TestSessionStreaming:
+    """``preprocess`` cleans one session at a time, with the bytes of ``preprocess_dataset`` on the whole dataset."""
+
+    @pytest.mark.parametrize("rearrange", [_rename_out_of_order, _split_a_session])
+    def test_same_bytes_as_preprocess_dataset(self, streamed_dataset, tmp_path, rearrange):
+        from vergescope.pipeline import preprocess_dataset
+
+        data = _copy_dataset(streamed_dataset, tmp_path / "data")
+        rearrange(data)
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "cli")]) == 0
+        processed, validity = preprocess_dataset(dataio.load_dataset_trials(str(data)))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        dataio.write_gva_table_csv(str(expected / "gva_table.csv"), processed)
+        dataio.write_json(str(expected / "validity_report.json"), validity.to_dict())
+        for name in ("gva_table.csv", "validity_report.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (expected / name).read_bytes(), name
+        assert len(processed) == 2 * 3 * 12
+
+    def test_sessions_arrive_one_at_a_time_in_key_order(self, streamed_dataset, tmp_path):
+        data = _copy_dataset(streamed_dataset, tmp_path / "data")
+        _split_a_session(data)
+        sessions = list(dataio.iter_dataset_sessions(str(data)))
+        keys = [{(t.participant_id, t.environment) for t in s} for s in sessions]
+        assert keys == [{(p, e)} for p in ("p01", "p02") for e in ("AR", "Real", "VR")]
+        real = [t.trial_id for t in sessions[1]]
+        assert len(real) == 12 and real[:6] == sorted(real)[6:]  # the later half's file sorts first
+
+    def test_malformed_gaze_file_in_a_later_session(self, streamed_dataset, tmp_path, capsys):
+        data = _copy_dataset(streamed_dataset, tmp_path / "data")
+        gaze = data / "gaze" / "p02_VR" / "t011.csv"
+        lines = gaze.read_bytes().split(b"\r\n")
+        lines[5] = b"0.1,x" + lines[5]
+        gaze.write_bytes(b"\r\n".join(lines))
+        capsys.readouterr()
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        doc = json.loads(err)["error"]
+        assert doc["type"] == "GazeParseError"
+        # A gaze path is joined to its manifest's directory and not normalised.
+        named = os.path.join(data, "manifests", "..", "gaze", "p02_VR", "t011.csv")
+        assert doc["message"] == f"expected 15 fields, got 16 [{named}:6]"

@@ -106,6 +106,114 @@ class TestCanonicalJson:
         assert json.loads(dataio.canonical_json({"x": math.nan}))["x"] is None
 
 
+def reference_jsonable(obj, quantize: bool):
+    """The deep copy ``canonical_json`` made before it became a one-pass writer."""
+    if isinstance(obj, dict):
+        return {str(k): reference_jsonable(v, quantize) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_jsonable(v, quantize) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if not math.isfinite(x):
+            return None
+        return float(f"{x:.9g}") if quantize else x
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def reference_canonical_json(obj, precise: bool = False) -> str:
+    return json.dumps(reference_jsonable(obj, not precise), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+JSON_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308, 1.2345678901234567]),
+)
+JSON_SCALARS = st.one_of(
+    st.text(max_size=5),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    JSON_FLOATS,
+    JSON_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_),
+)
+# Keys that are not str collide with str keys after str(); the last one wins in both writers.
+JSON_KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.booleans(), st.none(), st.floats(allow_nan=False))
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+class TestCanonicalJsonOracle:
+    """The one-pass writer against ``json.dumps`` on the deep copy it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tree=JSON_TREES, precise=st.booleans())
+    def test_trees_match_the_reference(self, json_dir, tree, precise):
+        expected = reference_canonical_json(tree, precise)
+        assert dataio.canonical_json(tree, precise) == expected
+        path = json_dir / "tree.json"
+        dataio.write_json(str(path), tree, precise)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{}, [], (), {"a": {}, "b": []}, [[], [[]]], [1, [2]], {"k": (1, 2.5)}, {1: "int", "1": "str"}, "ü\n"],
+    )
+    def test_empty_scalar_only_and_mixed_containers(self, tree):
+        for precise in (False, True):
+            assert dataio.canonical_json(tree, precise) == reference_canonical_json(tree, precise)
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_cli_artifacts_match_the_reference(self, json_dir, seed):
+        from vergescope.analysis import condition_means, run_analysis
+        from vergescope.calibration import fit_participants
+        from vergescope.pipeline import preprocess_dataset
+
+        ds = simulate_cohort(ExperimentDesign(n_participants=2, repetitions=1), CohortConfig(), seed=seed)
+        processed, validity = preprocess_dataset(ds.trials)
+        models = fit_participants(condition_means([p for p in processed if p.valid]))
+        analysis = run_analysis(processed, models=models, include_normalized=True, include_stability=True,
+                                subjective=ds.subjective, min_valid_trials_per_pair=1)
+        artifacts = {
+            "ledger.json": (ds.ledger_dict(), True),
+            "validity_report.json": (validity.to_dict(), False),
+            "analysis.json": (analysis, False),
+        }
+        for name, (obj, precise) in artifacts.items():
+            path = json_dir / f"{seed}_{name}"
+            dataio.write_json(str(path), obj, precise)
+            assert path.read_text(encoding="utf-8") == reference_canonical_json(obj, precise), name
+        assert len(artifacts["ledger.json"][0]["artifacts"]) > 100
+
+    @pytest.mark.parametrize("bad", [{1, 2}, np.arange(3), object(), {"x": [1, {"y": b"bytes"}]}, [np.datetime64(0, "s")]])
+    def test_unserializable_value_raises_type_error(self, json_dir, bad):
+        with pytest.raises(TypeError):
+            reference_canonical_json(bad)
+        with pytest.raises(TypeError):
+            dataio.canonical_json(bad)
+        with pytest.raises(TypeError):
+            dataio.write_json(str(json_dir / "bad.json"), bad)
+
+
 class TestDatasetRoundtrip:
     def test_write_and_load(self, tmp_path):
         design = ExperimentDesign(n_participants=1, repetitions=1, response_window_s=2.0)

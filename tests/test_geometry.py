@@ -50,6 +50,46 @@ class TestVergenceAngle:
         with pytest.raises(DegenerateInputError):
             vergence_angle(Vec3(0, 0, 0), Vec3(0, 0, 1))
 
+    @pytest.mark.parametrize("zero", [Vec3(0, 0, 0), Vec3(-0.0, 0.0, -0.0)])
+    def test_all_zero_components_rejected(self, zero):
+        with pytest.raises(DegenerateInputError):
+            vergence_angle(Vec3(0, 0, 1), zero)
+        with pytest.raises(DegenerateInputError):
+            zero.normalized()
+
+    def test_tiny_vectors_get_the_kernel_angle(self):
+        # Vec3.norm() underflows to 0 here, but the vectors are not zero.
+        left, right = Vec3(1e-170, 0, 1e-170), Vec3(-1e-170, 0, 1e-170)
+        assert left.norm() == 0.0
+        assert vergence_angle(left, right) == 90.0
+        assert vergence_angle(left, right) == vergence_angles(np.array([[1e-170, 0, 1e-170]]),
+                                                              np.array([[-1e-170, 0, 1e-170]]))[0]
+
+    def test_gaze_ray_accepts_a_tiny_direction(self):
+        ray = GazeRay(Vec3(0, 0, 0), Vec3(1e-170, 0, 1e-170))
+        assert ray.direction == Vec3(1, 0, 1).normalized()
+        assert Vec3(0, 5e-324, 0).normalized() == Vec3(0, 1, 0)
+
+    @given(*[st.one_of(st.just(0.0), st.floats(1e-6, 1), st.floats(-1, -1e-6))] * 4,
+           st.floats(0.1, 1), st.floats(0.1, 1))
+    def test_tiny_vectors_are_rescaled_by_their_largest_component(self, lx, ly, rx, ry, lz, rz):
+        # Scaling by 2**-600 is exact for these components, so dividing the
+        # tiny vector by its largest component gives the unscaled quotient.
+        tiny = 2.0**-600
+        left, right = Vec3(lx, ly, lz), Vec3(rx, ry, rz)
+        ml, mr = max(map(abs, left.as_tuple())), max(map(abs, right.as_tuple()))
+        expected = vergence_angles(np.array([left.as_tuple()]) / ml, np.array([right.as_tuple()]) / mr)[0]
+        assert _same_bits(vergence_angle(left.scaled(tiny), right.scaled(tiny)), expected)
+        rescaled = Vec3(*(c / ml for c in left.as_tuple()))
+        n = rescaled.norm()
+        assert left.scaled(tiny).normalized() == Vec3(rescaled.x / n, rescaled.y / n, rescaled.z / n)
+
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-150, 1e3))
+    def test_normalized_keeps_its_bits_above_the_underflow(self, x, y, z):
+        v = Vec3(x, y, z)
+        n = v.norm()
+        assert v.normalized() == Vec3(x / n, y / n, z / n)
+
     def test_projection_mode_drops_elevation(self):
         up_tilted = Vec3(0.1, 0.5, 1.0)
         flat = Vec3(0.1, 0.0, 1.0)
