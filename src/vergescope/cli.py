@@ -22,7 +22,7 @@ from .calibration import DepthStream, fit_participants
 from .errors import GazeParseError, UsageError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_sessions
 from .report import render_analysis
-from .synth import CohortConfig, ExperimentDesign, simulate_cohort
+from .synth import CohortConfig, ExperimentDesign
 
 # Rows per DepthStream push when ``estimate`` runs without --stream.
 ESTIMATE_BLOCK_ROWS = 4096
@@ -56,10 +56,8 @@ def _cmd_simulate(args) -> int:
             cohort = CohortConfig.from_dict(doc.get("cohort", {}))
         except TypeError as exc:
             raise GazeParseError(f"bad design file: {exc}", args.design) from None
-    seed = _effective_seed(args)
-    dataset = simulate_cohort(design, cohort, seed)
-    dataio.write_dataset(args.out, dataset)
-    print(f"wrote {len(dataset.trials)} trials for {design.n_participants} participants to {args.out}")
+    n_trials = dataio.write_dataset(args.out, design, cohort, _effective_seed(args))
+    print(f"wrote {n_trials} trials for {design.n_participants} participants to {args.out}")
     return 0
 
 

@@ -28,13 +28,22 @@ made in one pass over the object, with no converted copy: a container whose
 values are all scalars is encoded in one call to a ``json.JSONEncoder`` kept
 per nesting level, whose item separator carries that level's indent, and
 every other piece is written as it is made.
-``write_json`` sends those pieces straight to its file, so a large ledger is
-never held as text; a value that cannot be serialized raises ``TypeError``
-and can leave a partial file behind.
+An iterator stands for a list and is written item by item as it is
+consumed, so a list too large to hold, such as the ledger's artifact
+entries, need never be built. ``write_json`` sends those pieces to a
+temporary file beside its path and renames it into place only when the text
+is complete; a value that cannot be serialized raises ``TypeError``, and any
+file already at the path is left as it was.
 
-``iter_dataset_sessions`` yields a dataset's trials one (participant,
-environment) session at a time, parsing a session's gaze files only when it
-is requested, so ``preprocess`` holds one session's samples at a time.
+``write_dataset`` writes a simulated cohort one (participant, environment)
+session at a time as ``synth.simulate_sessions`` makes them: ``config.json``
+first, then each session's gaze files and manifest, then ``subjective.csv``
+and last ``ledger.json``, so a dataset with a ledger is complete. It holds
+one session's samples at a time, plus the compact artifact tags and the
+per-trial truth of every session for the ledger.
+``iter_dataset_sessions`` yields a dataset's trials one session at a time,
+parsing a session's gaze files only when it is requested, so ``preprocess``
+holds one session's samples at a time.
 """
 
 from __future__ import annotations
@@ -45,9 +54,9 @@ import io
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +64,13 @@ from .calibration import ParticipantModel
 from .errors import GazeParseError
 from .pipeline import ProcessedTrial
 from .recording import GazeSeries, TrialRecord, depths_in_set
-from .synth import SimulatedDataset, SubjectiveReport
+from .synth import (
+    CohortConfig,
+    ExperimentDesign,
+    SubjectiveReport,
+    build_ledger,
+    simulate_sessions,
+)
 
 __all__ = [
     "GAZE_CSV_HEADER",
@@ -116,7 +131,10 @@ def _jsonable(obj, quantize: bool):
     return obj
 
 
-_CONTAINERS = (dict, list, tuple)
+# Values of these types are encoded as they are, by one encoder call per
+# container; a value of any other type (a container, an iterator, or one JSON
+# cannot hold) is written on its own.
+_SCALARS = (str, int, float, type(None), np.generic)
 
 
 @functools.lru_cache(maxsize=None)
@@ -126,28 +144,34 @@ def _level_encoder(level: int) -> json.JSONEncoder:
 
 
 def _write_canonical(write, obj, quantize: bool, level: int = 0) -> None:
-    """Write ``obj`` at nesting ``level`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, piece by piece."""
+    """Write ``obj`` at nesting ``level`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, piece by piece.
+
+    An iterator is written as the list of its items, one item at a time.
+    """
     encode = _level_encoder(level).encode
     if isinstance(obj, dict):
         obj = {str(k): v for k, v in obj.items()}
         values, opening, closing = obj.values(), "{", "}"
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, Iterator)):
         values, opening, closing = obj, "[", "]"
     else:
         write(encode(_jsonable(obj, quantize)))
         return
-    if not obj:
-        write(opening + closing)
-        return
     inner = "\n" + "  " * (level + 1)
     outer = "\n" + "  " * level
-    if not any(isinstance(v, _CONTAINERS) for v in values):
-        if opening == "{":
-            flat = {k: _jsonable(v, quantize) for k, v in obj.items()}
-        else:
-            flat = [_jsonable(v, quantize) for v in obj]
-        write(opening + inner + encode(flat)[1:-1] + outer + closing)
-        return
+    # An iterator's length and item types are unknown until it is read, so
+    # it always takes the item-by-item path below.
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            write(opening + closing)
+            return
+        if all(isinstance(v, _SCALARS) for v in values):
+            if opening == "{":
+                flat = {k: _jsonable(v, quantize) for k, v in obj.items()}
+            else:
+                flat = [_jsonable(v, quantize) for v in obj]
+            write(opening + inner + encode(flat)[1:-1] + outer + closing)
+            return
     if opening == "{":
         items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
     else:
@@ -157,7 +181,10 @@ def _write_canonical(write, obj, quantize: bool, level: int = 0) -> None:
         write(separator + prefix)
         separator = "," + inner
         _write_canonical(write, value, quantize, level + 1)
-    write(outer + closing)
+    if separator == opening + inner:  # an empty iterator
+        write(opening + closing)
+    else:
+        write(outer + closing)
 
 
 def canonical_json(obj, precise: bool = False) -> str:
@@ -165,10 +192,10 @@ def canonical_json(obj, precise: bool = False) -> str:
 
     The text is ``json.dumps(obj, sort_keys=True, indent=2,
     allow_nan=False)`` plus a newline, after every dict key is made a
-    ``str``, every tuple a list, every numpy scalar a Python one and every
-    non-finite float ``None``. ``precise`` keeps full float precision, for
-    data files (manifests, the ground-truth ledger) whose values must
-    round-trip exactly. A value JSON cannot hold raises ``TypeError``.
+    ``str``, every tuple or iterator a list, every numpy scalar a Python one
+    and every non-finite float ``None``. ``precise`` keeps full float
+    precision, for data files (manifests, the ground-truth ledger) whose
+    values must round-trip exactly. A value JSON cannot hold raises ``TypeError``.
     """
     buffer = io.StringIO()
     _write_canonical(buffer.write, obj, not precise)
@@ -177,10 +204,22 @@ def canonical_json(obj, precise: bool = False) -> str:
 
 
 def write_json(path: str, obj, precise: bool = False) -> None:
-    """Write ``canonical_json(obj, precise)`` to ``path`` without building the text first."""
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_canonical(fh.write, obj, not precise)
-        fh.write("\n")
+    """Write ``canonical_json(obj, precise)`` to ``path`` without building the text first.
+
+    The text goes to a temporary file in the same directory, which replaces
+    ``path`` only once it is complete; on any error the temporary file is
+    removed and a file already at ``path`` is left unchanged.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            _write_canonical(fh.write, obj, not precise)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def write_gaze_csv(path: str, series: GazeSeries) -> None:
@@ -581,33 +620,46 @@ def load_models_json(path: str) -> dict[str, ParticipantModel]:
     return out
 
 
-def write_dataset(outdir: str, dataset: SimulatedDataset) -> None:
-    """Emit a simulated cohort: config echo, ledger, subjective CSV, manifests, gaze files."""
-    os.makedirs(outdir, exist_ok=True)
+def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, seed: int) -> int:
+    """Simulate a cohort and write it one session at a time; returns the number of trials written.
+
+    ``config.json`` is written first. Each session of
+    ``synth.simulate_sessions(design, config, seed)`` has its gaze files and
+    manifest written as soon as it is simulated, and its samples are dropped
+    before the next one. ``subjective.csv`` and ``ledger.json`` come last,
+    the ledger's artifact entries made one by one as they are written. A
+    failure part way leaves the sessions written so far and no
+    ``ledger.json``.
+    """
     os.makedirs(os.path.join(outdir, "manifests"), exist_ok=True)
-    write_json(
-        os.path.join(outdir, "config.json"),
-        {"design": dataset.design.to_dict(), "seed": dataset.seed},
-    )
-    write_json(os.path.join(outdir, "ledger.json"), dataset.ledger_dict(), precise=True)
-    write_subjective_csv(os.path.join(outdir, "subjective.csv"), dataset.subjective)
-    sessions: dict[tuple[str, str], list[TrialRecord]] = {}
-    for t in dataset.trials:
-        sessions.setdefault((t.participant_id, t.environment), []).append(t)
-    for (pid, env), trials in sorted(sessions.items()):
+    write_json(os.path.join(outdir, "config.json"), {"design": design.to_dict(), "seed": seed})
+    physiology, artifacts, truth, subjective = {}, [], {}, []
+    n_trials = 0
+    for session in simulate_sessions(design, config, seed):
+        pid, env = session.physiology.participant_id, session.environment
         gaze_dir = os.path.join(outdir, "gaze", f"{pid}_{env}")
         os.makedirs(gaze_dir, exist_ok=True)
         rel_files = []
-        for t in trials:
-            rel = os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv")
+        for t in session.trials:
             write_gaze_csv(os.path.join(gaze_dir, f"{t.trial_id}.csv"), t.samples)
-            rel_files.append(rel)
+            rel_files.append(os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv"))
         write_manifest(
-            os.path.join(outdir, "manifests", f"{pid}_{env}.json"),
-            trials,
-            rel_files,
-            dataset.design.depths_m,
+            os.path.join(outdir, "manifests", f"{pid}_{env}.json"), session.trials, rel_files, design.depths_m
         )
+        n_trials += len(session.trials)
+        physiology[pid] = session.physiology
+        artifacts.extend(session.artifacts)
+        truth.update(session.trial_truth)
+        subjective.extend(session.subjective)
+        del session  # drop this session's samples before the next session is simulated
+    write_subjective_csv(os.path.join(outdir, "subjective.csv"), subjective)
+    tags = (tag for trial_artifacts in artifacts for tag in trial_artifacts.tags())
+    write_json(
+        os.path.join(outdir, "ledger.json"),
+        build_ledger(design, config, seed, physiology, tags, truth),
+        precise=True,
+    )
+    return n_trials
 
 
 def _manifest_paths(datadir: str) -> list[str]:

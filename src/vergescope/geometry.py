@@ -52,11 +52,13 @@ class Vec3:
         """The unit vector along this one; raises DegenerateInputError for an all-zero vector.
 
         A vector whose sum of squares is subnormal or zero (every component
-        below about 1.5e-154) is first divided by its largest absolute
-        component; every other vector is divided by ``norm()`` as it is.
+        below about 1.5e-154) or overflows (a component above about 1.3e154)
+        is first divided by its largest absolute component; every other
+        vector is divided by ``norm()`` as it is.
         """
         v = self
-        if v.x * v.x + v.y * v.y + v.z * v.z < _MIN_NORMAL:
+        squares = v.x * v.x + v.y * v.y + v.z * v.z
+        if not _MIN_NORMAL <= squares < math.inf:
             largest = max(abs(v.x), abs(v.y), abs(v.z))
             if largest == 0.0:
                 raise DegenerateInputError("cannot normalize a zero-norm vector")

@@ -7,13 +7,20 @@ parameters, per-environment additive offsets, measurement noise, and tagged
 artifacts (dropouts, velocity spikes, amplitude outliers). Every injected
 effect is recorded in a ledger so the cleaning pipeline can be scored
 exactly.
+
+``simulate_sessions`` generates the cohort one (participant, environment)
+session at a time, each from its own child ``SeedSequence``, and keeps a
+trial's artifact tags in the compact ``TrialArtifacts`` form; ``dataio``
+writes each session as it comes. ``simulate_cohort`` collects the same
+sessions into one ``SimulatedDataset`` held in memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,13 +36,17 @@ __all__ = [
     "CohortConfig",
     "TrialSpec",
     "ArtifactTag",
+    "TrialArtifacts",
     "SubjectiveReport",
+    "SimulatedSession",
     "SimulatedDataset",
     "implied_response_line",
     "solve_effective_ipd",
     "generate_sequence",
     "simulate_trial",
+    "simulate_sessions",
     "simulate_cohort",
+    "build_ledger",
 ]
 
 
@@ -55,6 +66,10 @@ class ExperimentDesign:
     def __post_init__(self):
         if len(set(self.depths_m)) != len(self.depths_m) or any(d <= 0 for d in self.depths_m):
             raise DomainError("depths must be positive and distinct")
+        if len(self.depths_m) < 2:
+            raise DomainError("a design needs at least two depths")
+        if not self.environments or len(set(self.environments)) != len(self.environments):
+            raise DomainError("environments must be distinct and at least one")
         if self.repetitions < 1 or self.n_participants < 1:
             raise DomainError("repetitions and participants must be >= 1")
 
@@ -288,13 +303,37 @@ class TrialSpec:
     duration_s: float
 
 
+ARTIFACT_KINDS = ("dropout", "spike", "outlier")
+
+
 @dataclass(frozen=True)
 class ArtifactTag:
     participant_id: str
     environment: str
     trial_id: str
     t_s: float
-    kind: str  # dropout | spike | outlier
+    kind: str  # one of ARTIFACT_KINDS
+
+
+@dataclass(frozen=True, eq=False)
+class TrialArtifacts:
+    """One trial's artifact tags in compact form.
+
+    ``t_s`` holds the tag times, the dropouts first, then the spikes, then the
+    outliers; ``counts`` holds how many tags of each of ``ARTIFACT_KINDS``
+    there are.
+    """
+
+    participant_id: str
+    environment: str
+    trial_id: str
+    t_s: np.ndarray
+    counts: tuple[int, int, int]
+
+    def tags(self) -> list[ArtifactTag]:
+        kinds = chain.from_iterable(map(repeat, ARTIFACT_KINDS, self.counts))
+        ids = self.participant_id, self.environment, self.trial_id
+        return [ArtifactTag(*ids, t, kind) for t, kind in zip(self.t_s.tolist(), kinds)]
 
 
 @dataclass(frozen=True)
@@ -384,7 +423,7 @@ def simulate_trial(
     rng: np.random.Generator,
     landolt_accuracy: float = 0.98,
     timeout_rate: float = 0.0,
-) -> tuple[TrialRecord, list[ArtifactTag], dict]:
+) -> tuple[TrialRecord, TrialArtifacts, dict]:
     """Synthesize one trial's sample stream.
 
     The vergence angle dwells at the start-depth level, then settles
@@ -392,8 +431,8 @@ def simulate_trial(
     stimulus onset and completing at latency + settle time; a half-sine
     version saccade sweeps the shared gaze direction during the transition so
     that a dispersion detector sees the target switch. Returns the trial, its
-    artifact tags, and a ground-truth dict with the stabilization time and
-    noise-free steady angle.
+    artifact tags as ``TrialArtifacts``, and a ground-truth dict with the
+    stabilization time and noise-free steady angle.
     """
     rate = spec.sample_rate_hz
     n = int(round(spec.duration_s * rate))
@@ -469,18 +508,19 @@ def simulate_trial(
         landolt_direction=direction,
         landolt_response=response,
     )
-    tags = []
-    for idx_array, kind in ((dropouts, "dropout"), (spikes, "spike"), (outliers, "outlier")):
-        for i in idx_array:
-            tags.append(
-                ArtifactTag(spec.participant_id, spec.environment, spec.trial_id, float(t_abs[i]), kind)
-            )
+    artifacts = TrialArtifacts(
+        spec.participant_id,
+        spec.environment,
+        spec.trial_id,
+        t_abs[np.concatenate((dropouts, spikes, outliers))],
+        (len(dropouts), len(spikes), len(outliers)),
+    )
     truth = {
         "stable_from_s": spec.stimulus_onset_s + noise.latency_s + noise.saccade_duration_s,
         "steady_gva_deg": v_end,
         "settled_from_s": spec.stimulus_onset_s + noise.latency_s + noise.settle_time_s,
     }
-    return trial, tags, truth
+    return trial, artifacts, truth
 
 
 def _draw_physiology(
@@ -506,9 +546,56 @@ def _draw_physiology(
     raise DomainError("could not draw physiology satisfying the positivity floor")
 
 
+def _artifact_entry(tag: ArtifactTag) -> dict:
+    return {
+        "participant_id": tag.participant_id,
+        "environment": tag.environment,
+        "trial_id": tag.trial_id,
+        "t_s": tag.t_s,
+        "kind": tag.kind,
+    }
+
+
+def build_ledger(
+    design: ExperimentDesign,
+    config: CohortConfig,
+    seed: int,
+    physiology: Mapping[str, PhysiologyParams],
+    artifacts: Iterable[ArtifactTag],
+    trial_truth: Mapping[tuple[str, str, str], dict],
+) -> dict:
+    """The ground-truth ledger; its ``artifacts`` entry is an iterator that builds each tag's dict as it is read."""
+    participants = {}
+    for pid, phys in sorted(physiology.items()):
+        a, b = phys.implied_line(design.depths_m)
+        participants[pid] = {
+            "ipd_m": phys.ipd_m,
+            "intercept_bias_deg": phys.intercept_bias_deg,
+            "response_mode": phys.response_mode,
+            "slope_implied_deg_per_d": b,
+            "intercept_implied_deg": a,
+        }
+    return {
+        "seed": seed,
+        "participants": participants,
+        "env_offsets_deg": dict(config.environment.offsets_deg),
+        "subjective_factors": dict(config.subjective_factors),
+        "artifacts": map(_artifact_entry, artifacts),
+        "trials": [
+            {
+                "participant_id": pid,
+                "environment": env,
+                "trial_id": tid,
+                **truth,
+            }
+            for (pid, env, tid), truth in sorted(trial_truth.items())
+        ],
+    }
+
+
 @dataclass
 class SimulatedDataset:
-    """A full simulated cohort plus its ground-truth ledger."""
+    """A full simulated cohort plus its ground-truth ledger, held in memory."""
 
     design: ExperimentDesign
     config: CohortConfig
@@ -520,41 +607,28 @@ class SimulatedDataset:
     subjective: list[SubjectiveReport]
 
     def ledger_dict(self) -> dict:
-        participants = {}
-        for pid, phys in sorted(self.physiology.items()):
-            a, b = phys.implied_line(self.design.depths_m)
-            participants[pid] = {
-                "ipd_m": phys.ipd_m,
-                "intercept_bias_deg": phys.intercept_bias_deg,
-                "response_mode": phys.response_mode,
-                "slope_implied_deg_per_d": b,
-                "intercept_implied_deg": a,
-            }
-        return {
-            "seed": self.seed,
-            "participants": participants,
-            "env_offsets_deg": dict(self.config.environment.offsets_deg),
-            "subjective_factors": dict(self.config.subjective_factors),
-            "artifacts": [
-                {
-                    "participant_id": a.participant_id,
-                    "environment": a.environment,
-                    "trial_id": a.trial_id,
-                    "t_s": a.t_s,
-                    "kind": a.kind,
-                }
-                for a in self.artifacts
-            ],
-            "trials": [
-                {
-                    "participant_id": pid,
-                    "environment": env,
-                    "trial_id": tid,
-                    **truth,
-                }
-                for (pid, env, tid), truth in sorted(self.trial_truth.items())
-            ],
-        }
+        ledger = build_ledger(
+            self.design, self.config, self.seed, self.physiology, self.artifacts, self.trial_truth
+        )
+        ledger["artifacts"] = list(ledger["artifacts"])
+        return ledger
+
+
+@dataclass
+class SimulatedSession:
+    """One (participant, environment) session as ``simulate_sessions`` yields it.
+
+    ``subjective`` holds the participant's distance reports on the
+    participant's first session and is empty on the others, so each report
+    comes once.
+    """
+
+    physiology: PhysiologyParams
+    environment: str
+    trials: list[TrialRecord]
+    artifacts: list[TrialArtifacts]
+    trial_truth: dict[tuple[str, str, str], dict]
+    subjective: list[SubjectiveReport]
 
 
 def _participant_subjective(
@@ -577,59 +651,90 @@ def _participant_subjective(
     return out
 
 
+def _simulate_session(
+    design: ExperimentDesign,
+    config: CohortConfig,
+    phys: PhysiologyParams,
+    env: str,
+    srng: np.random.Generator,
+    subjective: list[SubjectiveReport],
+) -> SimulatedSession:
+    session = SimulatedSession(phys, env, [], [], {}, subjective)
+    sequence = generate_sequence(design, srng)
+    onset = 0.0
+    offset_deg = config.environment.offset(env)
+    for t_index, (start, end) in enumerate(sequence):
+        spec = TrialSpec(
+            participant_id=phys.participant_id,
+            environment=env,
+            trial_id=f"t{t_index:03d}",
+            start_depth_m=start,
+            end_depth_m=end,
+            stimulus_onset_s=onset,
+            sample_rate_hz=design.sample_rate_hz,
+            duration_s=design.trial_duration_s,
+        )
+        trial, artifacts, truth = simulate_trial(
+            spec,
+            phys,
+            config.noise,
+            offset_deg,
+            srng,
+            config.landolt_accuracy,
+            config.timeout_rate,
+        )
+        session.trials.append(trial)
+        session.artifacts.append(artifacts)
+        session.trial_truth[(phys.participant_id, env, spec.trial_id)] = truth
+        onset += design.trial_duration_s + float(srng.uniform(*design.iti_range_s))
+    return session
+
+
+def simulate_sessions(
+    design: ExperimentDesign, config: CohortConfig, seed: int
+) -> Iterator[SimulatedSession]:
+    """Simulate the cohort deterministically from ``seed``, one session at a time.
+
+    Sessions come participant by participant, in ``design.environments``
+    order within a participant. Each participant gets an independent child
+    seed (and each session its own), so every session is the same however
+    many of them are generated or kept. The generator simulates a session
+    only when it is requested and keeps no reference to the sessions it has
+    yielded.
+    """
+    root = np.random.SeedSequence(seed)
+    for p_index, participant_seq in enumerate(root.spawn(design.n_participants)):
+        pid = f"p{p_index + 1:02d}"
+        seqs = participant_seq.spawn(len(design.environments) + 1)
+        prng = np.random.default_rng(seqs[0])
+        phys = _draw_physiology(pid, design, config, prng)
+        subjective = _participant_subjective(pid, design, config, prng)
+        for env, seq in zip(design.environments, seqs[1:]):
+            yield _simulate_session(design, config, phys, env, np.random.default_rng(seq), subjective)
+            subjective = []
+
+
 def simulate_cohort(
     design: ExperimentDesign | None = None,
     config: CohortConfig | None = None,
     seed: int = 0,
 ) -> SimulatedDataset:
-    """Simulate the whole cohort deterministically from ``seed``.
+    """Simulate the whole cohort deterministically from ``seed`` and hold it in memory.
 
-    Each participant gets an independent child seed (and each session its
-    own), so output is identical regardless of how the work is scheduled.
+    Collects the sessions of ``simulate_sessions``, so the trials, tags and
+    reports are those that ``dataio.write_dataset`` writes for the same
+    design, config and seed.
     """
     design = design or ExperimentDesign()
     config = config or CohortConfig()
-    root = np.random.SeedSequence(seed)
-    participant_seqs = root.spawn(design.n_participants)
-    trials: list[TrialRecord] = []
-    physiology: dict[str, PhysiologyParams] = {}
-    artifacts: list[ArtifactTag] = []
-    truth: dict[tuple[str, str, str], dict] = {}
-    subjective: list[SubjectiveReport] = []
-    for p_index in range(design.n_participants):
-        pid = f"p{p_index + 1:02d}"
-        seqs = participant_seqs[p_index].spawn(len(design.environments) + 1)
-        prng = np.random.default_rng(seqs[0])
-        phys = _draw_physiology(pid, design, config, prng)
-        physiology[pid] = phys
-        subjective.extend(_participant_subjective(pid, design, config, prng))
-        for e_index, env in enumerate(design.environments):
-            srng = np.random.default_rng(seqs[e_index + 1])
-            sequence = generate_sequence(design, srng)
-            onset = 0.0
-            offset_deg = config.environment.offset(env)
-            for t_index, (start, end) in enumerate(sequence):
-                spec = TrialSpec(
-                    participant_id=pid,
-                    environment=env,
-                    trial_id=f"t{t_index:03d}",
-                    start_depth_m=start,
-                    end_depth_m=end,
-                    stimulus_onset_s=onset,
-                    sample_rate_hz=design.sample_rate_hz,
-                    duration_s=design.trial_duration_s,
-                )
-                trial, tags, tr_truth = simulate_trial(
-                    spec,
-                    phys,
-                    config.noise,
-                    offset_deg,
-                    srng,
-                    config.landolt_accuracy,
-                    config.timeout_rate,
-                )
-                trials.append(trial)
-                artifacts.extend(tags)
-                truth[(pid, env, spec.trial_id)] = tr_truth
-                onset += design.trial_duration_s + float(srng.uniform(*design.iti_range_s))
-    return SimulatedDataset(design, config, seed, trials, physiology, artifacts, truth, subjective)
+    sessions = list(simulate_sessions(design, config, seed))
+    return SimulatedDataset(
+        design,
+        config,
+        seed,
+        trials=[t for s in sessions for t in s.trials],
+        physiology={s.physiology.participant_id: s.physiology for s in sessions},
+        artifacts=[tag for s in sessions for a in s.artifacts for tag in a.tags()],
+        trial_truth={key: truth for s in sessions for key, truth in s.trial_truth.items()},
+        subjective=[r for s in sessions for r in s.subjective],
+    )

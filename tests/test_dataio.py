@@ -1,6 +1,9 @@
 import csv
+import gc
 import json
 import math
+import os
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import series_from_gva
-from vergescope import dataio
+from vergescope import dataio, synth
 from vergescope.analysis import ConditionCell
 from vergescope.calibration import ParticipantModel
 from vergescope.errors import DomainError, GazeParseError
@@ -213,13 +216,53 @@ class TestCanonicalJsonOracle:
         with pytest.raises(TypeError):
             dataio.write_json(str(json_dir / "bad.json"), bad)
 
+    @settings(max_examples=200, deadline=None)
+    @given(tree=JSON_TREES, precise=st.booleans())
+    def test_iterators_write_as_the_lists_they_yield(self, json_dir, tree, precise):
+        expected = dataio.canonical_json(tree, precise)
+        assert dataio.canonical_json(as_iterators(tree), precise) == expected
+        path = json_dir / "iterators.json"
+        dataio.write_json(str(path), as_iterators(tree), precise)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("tree", [[], {"a": [], "b": [[], {}]}, [[]], [1, []], {"k": [{"x": []}]}])
+    def test_empty_iterators_write_as_empty_lists(self, json_dir, tree):
+        assert dataio.canonical_json(iter(())) == "[]\n"
+        for precise in (False, True):
+            expected = reference_canonical_json(tree, precise)
+            assert dataio.canonical_json(as_iterators(tree), precise) == expected
+            path = json_dir / "empty.json"
+            dataio.write_json(str(path), as_iterators(tree), precise)
+            assert path.read_text(encoding="utf-8") == expected
+
+    def test_failed_write_leaves_the_file_unchanged(self, tmp_path):
+        path = tmp_path / "kept.json"
+        dataio.write_json(str(path), {"kept": [1, 2]})
+        before = path.read_bytes()
+        # The first item is written before the unserializable one is reached.
+        with pytest.raises(TypeError):
+            dataio.write_json(str(path), {"kept": iter([[1], [object()]])})
+        assert path.read_bytes() == before
+        with pytest.raises(TypeError):
+            dataio.write_json(str(tmp_path / "new.json"), [[1], {2, 3}])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+def as_iterators(tree):
+    """``tree`` with every list and tuple made a one-shot iterator over its items."""
+    if isinstance(tree, dict):
+        return {k: as_iterators(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return (as_iterators(v) for v in tree)
+    return tree
+
 
 class TestDatasetRoundtrip:
     def test_write_and_load(self, tmp_path):
         design = ExperimentDesign(n_participants=1, repetitions=1, response_window_s=2.0)
         ds = simulate_cohort(design, CohortConfig(noise=NoiseModel.quiet()), seed=5)
         out = tmp_path / "data"
-        dataio.write_dataset(str(out), ds)
+        assert dataio.write_dataset(str(out), design, ds.config, 5) == len(ds.trials)
         assert (out / "ledger.json").exists()
         assert (out / "config.json").exists()
         trials = dataio.load_dataset_trials(str(out))
@@ -241,9 +284,8 @@ class TestDatasetRoundtrip:
 
     def test_manifest_chaining_validation(self, tmp_path):
         design = ExperimentDesign(n_participants=1, repetitions=1, response_window_s=2.0)
-        ds = simulate_cohort(design, CohortConfig(noise=NoiseModel.quiet()), seed=9)
         out = tmp_path / "data"
-        dataio.write_dataset(str(out), ds)
+        dataio.write_dataset(str(out), design, CohortConfig(noise=NoiseModel.quiet()), 9)
         manifest = next((out / "manifests").glob("*.json"))
         dataio.load_session_trials(str(manifest), validate_chaining=True)
         doc = json.loads(manifest.read_text())
@@ -251,6 +293,96 @@ class TestDatasetRoundtrip:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(GazeParseError):
             dataio.load_session_trials(str(manifest), validate_chaining=True)
+
+
+def reference_write_dataset(outdir: str, dataset) -> None:
+    """The whole-cohort writer that ``write_dataset`` replaced: it wrote a ``simulate_cohort`` result."""
+    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(os.path.join(outdir, "manifests"), exist_ok=True)
+    dataio.write_json(
+        os.path.join(outdir, "config.json"),
+        {"design": dataset.design.to_dict(), "seed": dataset.seed},
+    )
+    dataio.write_json(os.path.join(outdir, "ledger.json"), dataset.ledger_dict(), precise=True)
+    dataio.write_subjective_csv(os.path.join(outdir, "subjective.csv"), dataset.subjective)
+    sessions: dict[tuple[str, str], list[TrialRecord]] = {}
+    for t in dataset.trials:
+        sessions.setdefault((t.participant_id, t.environment), []).append(t)
+    for (pid, env), trials in sorted(sessions.items()):
+        gaze_dir = os.path.join(outdir, "gaze", f"{pid}_{env}")
+        os.makedirs(gaze_dir, exist_ok=True)
+        rel_files = []
+        for t in trials:
+            rel = os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv")
+            dataio.write_gaze_csv(os.path.join(gaze_dir, f"{t.trial_id}.csv"), t.samples)
+            rel_files.append(rel)
+        dataio.write_manifest(
+            os.path.join(outdir, "manifests", f"{pid}_{env}.json"),
+            trials,
+            rel_files,
+            dataset.design.depths_m,
+        )
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestWriteDataset:
+    """The session-at-a-time writer against the whole-cohort writer it replaced."""
+
+    @pytest.mark.parametrize(
+        "seed, config",
+        [
+            (3, CohortConfig()),
+            (7, CohortConfig()),
+            (11, CohortConfig()),
+            (7, CohortConfig(noise=NoiseModel.quiet(), timeout_rate=0.3, response_mode="linear")),
+        ],
+    )
+    def test_trees_match_the_reference(self, tmp_path, seed, config):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        reference_write_dataset(str(tmp_path / "reference"), simulate_cohort(design, config, seed))
+        assert dataio.write_dataset(str(tmp_path / "streamed"), design, config, seed) == 72
+        expected = tree_bytes(tmp_path / "reference")
+        assert len(expected) == 3 + 6 + 72
+        assert tree_bytes(tmp_path / "streamed") == expected
+        if config.timeout_rate:
+            assert b'"landolt_response": "timeout"' in expected["manifests/p01_Real.json"]
+
+    def test_a_written_session_is_released(self, tmp_path, monkeypatch):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        written: dict[str, list] = {}
+        checked = []
+        real = dataio.write_gaze_csv
+
+        def watched(path, series):
+            session = os.path.basename(os.path.dirname(path))
+            if session not in written:
+                gc.collect()
+                checked.append(session)
+                assert all(ref() is None for refs in written.values() for ref in refs), session
+                written[session] = []
+            written[session].append(weakref.ref(series))
+            real(path, series)
+
+        monkeypatch.setattr(dataio, "write_gaze_csv", watched)
+        dataio.write_dataset(str(tmp_path / "data"), design, CohortConfig(), 3)
+        assert len(checked) == 6
+
+    def test_a_failure_part_way_leaves_no_ledger(self, tmp_path, monkeypatch):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+
+        def failing(*args):
+            yield next(synth.simulate_sessions(*args))
+            raise RuntimeError("session 2 failed")
+
+        monkeypatch.setattr(dataio, "simulate_sessions", failing)
+        out = tmp_path / "data"
+        with pytest.raises(RuntimeError, match="session 2"):
+            dataio.write_dataset(str(out), design, CohortConfig(), 3)
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "gaze", "manifests"]
+        assert [p.name for p in (out / "manifests").iterdir()] == ["p01_Real.json"]
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,23 @@ class TestVergenceAngle:
         n = rescaled.norm()
         assert left.scaled(tiny).normalized() == Vec3(rescaled.x / n, rescaled.y / n, rescaled.z / n)
 
-    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-150, 1e3))
+    def test_gaze_ray_accepts_a_huge_direction(self):
+        # The sum of squares overflows to inf here, but the vector is finite.
+        huge = Vec3(1e200, 0, 1e200)
+        assert GazeRay(Vec3(0, 0, 0), huge).direction == Vec3(1, 0, 1).normalized()
+        assert Vec3(0, 1.7976931348623157e308, 0).normalized() == Vec3(0, 1, 0)
+        assert vergence_angle(huge, Vec3(-1e200, 0, 1e200)) == 90.0
+
+    @given(*[st.one_of(st.just(0.0), st.floats(1e-6, 1), st.floats(-1, -1e-6))] * 2, st.floats(0.1, 1))
+    def test_huge_vectors_are_rescaled_by_their_largest_component(self, x, y, z):
+        # Scaling by 2**600 is exact, and the scaled sum of squares overflows.
+        v = Vec3(x, y, z)
+        largest = max(map(abs, v.as_tuple()))
+        rescaled = Vec3(x / largest, y / largest, z / largest)
+        n = rescaled.norm()
+        assert v.scaled(2.0**600).normalized() == Vec3(rescaled.x / n, rescaled.y / n, rescaled.z / n)
+
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150), st.floats(1e-150, 1e150))
     def test_normalized_keeps_its_bits_above_the_underflow(self, x, y, z):
         v = Vec3(x, y, z)
         n = v.norm()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vergescope import synth
 from vergescope.calibration import fit_participant
 from vergescope.errors import DomainError
 from vergescope.geometry import ideal_vergence
@@ -21,6 +22,7 @@ from vergescope.synth import (
     generate_sequence,
     implied_response_line,
     simulate_cohort,
+    simulate_sessions,
     simulate_trial,
     solve_effective_ipd,
 )
@@ -41,6 +43,15 @@ class TestDesign:
     def test_rejects_duplicate_depths(self):
         with pytest.raises(DomainError):
             ExperimentDesign(depths_m=(0.25, 0.25, 1.0, 4.0))
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"depths_m": (1.0,)}, {"environments": ()}, {"environments": ("Real", "AR", "Real")}]
+    )
+    def test_rejects_designs_whose_sessions_would_be_empty_or_collide(self, kwargs):
+        # One depth gives no depth pair, so no trial; two sessions of one
+        # environment would write the same manifest and gaze files.
+        with pytest.raises(DomainError):
+            ExperimentDesign(**kwargs)
 
 
 class TestSequence:
@@ -119,7 +130,8 @@ class TestSimulateTrial:
         phys = PhysiologyParams("p01", 0.0648, 10.0)
         spec = TrialSpec("p01", "Real", "t000", 4.0, 0.25, 0.0, 200.0, 3.5)
         noise = NoiseModel.quiet(dropout_rate=0.05, spike_rate=0.01, outlier_rate=0.01)
-        trial, tags, _ = simulate_trial(spec, phys, noise, 0.0, np.random.default_rng(5))
+        trial, artifacts, _ = simulate_trial(spec, phys, noise, 0.0, np.random.default_rng(5))
+        tags = artifacts.tags()
         n = len(trial.samples)
         by_kind = Counter(tag.kind for tag in tags)
         assert by_kind["dropout"] == round(0.05 * n)
@@ -130,10 +142,10 @@ class TestSimulateTrial:
         assert min(np.diff(times)) >= 3 / 200.0 - 1e-9
 
     def test_determinism(self):
-        t1, tags1, _ = quiet_trial(seed=9)
-        t2, tags2, _ = quiet_trial(seed=9)
+        t1, artifacts1, _ = quiet_trial(seed=9)
+        t2, artifacts2, _ = quiet_trial(seed=9)
         np.testing.assert_array_equal(t1.samples.gva_deg, t2.samples.gva_deg)
-        assert tags1 == tags2
+        assert artifacts1.tags() == artifacts2.tags()
 
 
 class TestSimulateCohort:
@@ -207,6 +219,32 @@ class TestSimulateCohort:
         correct = np.mean([t.landolt_correct for t in ds.trials])
         n = len(ds.trials)
         assert abs(correct - 0.98) < 4.0 * math.sqrt(0.98 * 0.02 / n)
+
+    def test_sessions_are_generated_on_demand(self, monkeypatch):
+        calls = []
+        real = synth.simulate_trial
+
+        def counted(spec, *args):
+            calls.append(spec)
+            return real(spec, *args)
+
+        monkeypatch.setattr(synth, "simulate_trial", counted)
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        sessions = simulate_sessions(design, CohortConfig(), seed=3)
+        assert calls == []
+        first = next(sessions)
+        assert len(calls) == design.trials_per_session
+        assert {(s.participant_id, s.environment) for s in calls} == {("p01", "Real")}
+        assert len(first.trials) == len(first.artifacts) == len(first.trial_truth) == design.trials_per_session
+
+    def test_sessions_come_participant_by_participant(self):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        sessions = list(simulate_sessions(design, CohortConfig(), seed=5))
+        assert [(s.physiology.participant_id, s.environment) for s in sessions] == [
+            (pid, env) for pid in ("p01", "p02") for env in design.environments
+        ]
+        # Each participant's reports come once, on the participant's first session.
+        assert [len(s.subjective) for s in sessions] == [36, 0, 0, 36, 0, 0]
 
     def test_default_exclusion_in_reported_regime(self):
         # default artifact rates are tuned so the cascade excludes a mid-teens
