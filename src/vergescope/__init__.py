@@ -1,10 +1,11 @@
 """vergescope: objective depth estimates from binocular gaze vergence.
 
-Converts binocular eye-tracker streams into per-trial vergence angles,
-calibrates the angle-to-diopter mapping per participant, inverts it to
-metric depth, and ships the statistical machinery (OLS, nested F tests,
-stepwise refinement) plus a ground-truth oculomotor simulator used to
-validate the whole chain.
+Converts binocular eye-tracker streams into per-trial vergence angles with
+one array kernel (``vergence_angle`` is its one-pair form), calibrates the
+angle-to-diopter mapping per participant, inverts it to metric depth, and
+ships the statistical machinery (OLS, F tests of nested models on their
+R-squared summaries, stepwise refinement) plus a ground-truth oculomotor
+simulator used to validate the whole chain.
 """
 
 from .calibration import (
@@ -17,16 +18,7 @@ from .calibration import (
     fit_participants,
     normalize_gva,
 )
-from .geometry import (
-    EyeConfig,
-    GazeRay,
-    TargetSpec,
-    Vec3,
-    forward_gaze,
-    ideal_vergence,
-    to_diopters,
-    vergence_angle,
-)
+from .geometry import ideal_vergence, to_diopters, vergence_angle
 from .pipeline import (
     FixationConfig,
     PipelineConfig,

@@ -24,7 +24,7 @@ from .errors import (
     RankDeficiencyError,
     VergescopeError,
 )
-from .geometry import _vergence_angle_pair, vergence_angles
+from .geometry import vergence_angle, vergence_angles
 from .pipeline import VelocityGate
 from .stats import ModelFormula, ols_fit
 from .stats.linmod import qr_solve
@@ -177,8 +177,8 @@ class DepthStream:
     held across pushes as ``velocity_filter`` holds one over a trial, drops it:
     the rows that reach it need strictly increasing timestamps.
     A push of several rows makes one ``geometry.vergence_angles`` call; a push
-    left with one row skips the array kernel for its one-pair form, which
-    gives the same bits.
+    left with one row calls ``geometry.vergence_angle``, which gives the same
+    bits.
     """
 
     def __init__(self, model: ParticipantModel, confidence: float = 0.75, max_velocity: float = 5000.0):
@@ -197,7 +197,7 @@ class DepthStream:
             return
         if len(rows) == 1:
             (row,) = rows
-            angles = [_vergence_angle_pair(row[6:9], row[12:15])]
+            angles = [vergence_angle(row[6:9], row[12:15])]
         else:
             table = np.array(rows, dtype=float)
             angles = vergence_angles(table[:, 6:9], table[:, 12:15]).tolist()

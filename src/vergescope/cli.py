@@ -19,7 +19,7 @@ import sys
 from . import dataio
 from .analysis import condition_means, run_analysis
 from .calibration import DepthStream, fit_participants
-from .errors import GazeParseError, UsageError, VergescopeError
+from .errors import DomainError, GazeParseError, UsageError, VergescopeError
 from .pipeline import FixationConfig, PipelineConfig, preprocess_sessions
 from .report import render_analysis
 from .synth import CohortConfig, ExperimentDesign
@@ -54,7 +54,7 @@ def _cmd_simulate(args) -> int:
         try:
             design = ExperimentDesign.from_dict(doc.get("design", {}))
             cohort = CohortConfig.from_dict(doc.get("cohort", {}))
-        except TypeError as exc:
+        except (TypeError, DomainError) as exc:
             raise GazeParseError(f"bad design file: {exc}", args.design) from None
     n_trials = dataio.write_dataset(args.out, design, cohort, _effective_seed(args))
     print(f"wrote {n_trials} trials for {design.n_participants} participants to {args.out}")
@@ -95,11 +95,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    if args.logratio and not args.subjective:
+        raise VergescopeError("--logratio requires --subjective <csv>")
     rows = dataio.parse_gva_table_csv(args.gva_table)
     models = dataio.load_models_json(args.models) if args.models else None
     subjective = dataio.parse_subjective_csv(args.subjective) if args.logratio else None
-    if args.logratio and not args.subjective:
-        raise VergescopeError("--logratio requires --subjective <csv>")
     report = run_analysis(
         rows,
         models=models,
@@ -156,7 +156,11 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_report(args) -> int:
     analysis = _load_json_object(args.analysis)
-    written = render_analysis(analysis, args.out)
+    try:
+        written = render_analysis(analysis, args.out)
+    except (AttributeError, LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        # Rendering does no arithmetic or lookup that a well-formed analysis can fail.
+        raise GazeParseError(f"malformed analysis: {type(exc).__name__}: {exc}", args.analysis) from None
     print(f"wrote {len(written)} file(s) to {args.out}")
     return 0
 

@@ -79,7 +79,6 @@ __all__ = [
     "read_gaze_rows",
     "write_manifest",
     "load_manifest",
-    "load_session_trials",
     "write_subjective_csv",
     "parse_subjective_csv",
     "write_gva_table_csv",
@@ -89,7 +88,6 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_dataset",
-    "load_dataset_trials",
     "iter_dataset_sessions",
 ]
 
@@ -430,25 +428,6 @@ def load_manifest(path: str) -> dict:
     return doc
 
 
-def load_session_trials(manifest_path: str, validate_chaining: bool = False) -> list[TrialRecord]:
-    """Materialize one session's trials, reading gaze files relative to the manifest.
-
-    ``validate_chaining`` additionally checks that each trial starts at the
-    previous trial's end depth.
-    """
-    doc = load_manifest(manifest_path)
-    if validate_chaining:
-        entries = doc["trials"]
-        for i in range(1, len(entries)):
-            if entries[i]["start_depth_m"] != entries[i - 1]["end_depth_m"]:
-                raise GazeParseError(
-                    f"trial {entries[i]['trial_id']} starts at {entries[i]['start_depth_m']} m "
-                    f"but the previous trial ended at {entries[i - 1]['end_depth_m']} m",
-                    manifest_path,
-                )
-    return _manifest_trials(doc, manifest_path)
-
-
 def _manifest_trials(doc: dict, manifest_path: str) -> list[TrialRecord]:
     """The trials of a loaded manifest, with their gaze files parsed."""
     depth_set = [float(d) for d in doc.get("depth_set_m", [])]
@@ -669,20 +648,15 @@ def _manifest_paths(datadir: str) -> list[str]:
     return [os.path.join(mandir, name) for name in sorted(os.listdir(mandir)) if name.endswith(".json")]
 
 
-def load_dataset_trials(datadir: str) -> list[TrialRecord]:
-    """Load every session manifest under ``datadir/manifests``, in file-name order."""
-    return [t for path in _manifest_paths(datadir) for t in load_session_trials(path)]
-
-
 def iter_dataset_sessions(datadir: str) -> Iterator[list[TrialRecord]]:
     """Yield the trials of each (participant, environment) session under ``datadir/manifests``, one session at a time.
 
     Every manifest is read first; the sessions then come in sorted order,
     each holding the trials of all its manifests in file-name order, so a
     session split across manifests is pooled as ``pipeline.preprocess_dataset``
-    pools ``load_dataset_trials``. A session's gaze files are parsed only when
-    it is requested, and the generator keeps no reference to the trials it
-    has yielded.
+    pools every manifest's trials taken in file-name order. A session's gaze
+    files are parsed only when it is requested, and the generator keeps no
+    reference to the trials it has yielded.
     """
     manifests: dict[tuple[str, str], list[tuple[str, dict]]] = {}
     for path in _manifest_paths(datadir):

@@ -9,10 +9,6 @@ class UsageError(VergescopeError, ValueError):
     """A command line that the CLI's argument grammar rejects."""
 
 
-class DegenerateInputError(VergescopeError, ValueError):
-    """A geometric input is degenerate (zero-norm vector, target at an eye center)."""
-
-
 class DomainError(VergescopeError, ValueError):
     """A numeric argument is outside the mathematical domain of the operation."""
 

@@ -271,17 +271,12 @@ def trial_mean_gva(trial: TrialRecord, window: tuple[float, float] | None = None
     return float(series.gva_deg[ok].mean()), n_valid / n_total
 
 
-def trial_validity(trial_or_fraction, threshold: float = 0.5) -> bool:
+def trial_validity(valid_fraction: float, threshold: float = 0.5) -> bool:
     """A trial is valid when strictly more than ``threshold`` of its window samples survive.
 
-    Accepts either a trial (with its fixation onset set, so the analysis
-    window is defined) or a precomputed valid fraction.
+    ``valid_fraction`` is the second value ``trial_mean_gva`` returns.
     """
-    if isinstance(trial_or_fraction, TrialRecord):
-        _, fraction = trial_mean_gva(trial_or_fraction)
-    else:
-        fraction = float(trial_or_fraction)
-    return fraction > threshold
+    return valid_fraction > threshold
 
 
 @dataclass(frozen=True)

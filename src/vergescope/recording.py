@@ -43,7 +43,6 @@ class SampleStatus:
         OUTLIER: "outlier",
         MISSING: "missing",
     }
-    REASONS = ("low_confidence", "velocity_spike", "outlier", "missing")
 
 
 class GazeSeries:
@@ -102,10 +101,6 @@ class GazeSeries:
     @property
     def valid_mask(self) -> np.ndarray:
         return self.status == SampleStatus.VALID
-
-    @property
-    def n_valid(self) -> int:
-        return int(np.count_nonzero(self.valid_mask))
 
     def status_counts(self) -> dict[str, int]:
         counts = {name: 0 for name in SampleStatus.NAMES.values()}

@@ -2,14 +2,12 @@
 stepwise refinement, variance attribution, correlation, and log-ratio tables."""
 
 from .fdist import betainc_regularized, classify_p, f_cdf, f_sf, format_p
-from .formula import ModelFormula, Term, build_design_matrix, infer_levels
+from .formula import ModelFormula, Term, build_design_matrix
 from .linmod import (
     FitResult,
-    ModelComparison,
     ShareDef,
     StepwiseTrace,
     f_test_from_r2,
-    nested_f_test,
     ols_fit,
     stepwise_refine,
     variance_attribution,
@@ -25,13 +23,10 @@ __all__ = [
     "ModelFormula",
     "Term",
     "build_design_matrix",
-    "infer_levels",
     "FitResult",
-    "ModelComparison",
     "ShareDef",
     "StepwiseTrace",
     "f_test_from_r2",
-    "nested_f_test",
     "ols_fit",
     "stepwise_refine",
     "variance_attribution",

@@ -19,11 +19,9 @@ from .formula import ModelFormula, Term, build_design_matrix
 
 __all__ = [
     "FitResult",
-    "ModelComparison",
     "ols_fit",
     "qr_solve",
     "f_test_from_r2",
-    "nested_f_test",
     "stepwise_refine",
     "StepwiseTrace",
     "variance_attribution",
@@ -46,21 +44,6 @@ class FitResult:
     @property
     def n_coefficients(self) -> int:
         return len(self.coefficients)
-
-    @classmethod
-    def from_summary(cls, formula: ModelFormula, r_squared: float, residual_df: int, n: int) -> "FitResult":
-        """Build a summary-only result (e.g. from a published table) for comparisons."""
-        return cls(formula, {}, r_squared, residual_df, n, math.nan, math.nan)
-
-
-@dataclass(frozen=True)
-class ModelComparison:
-    smaller: FitResult
-    larger: FitResult
-    complete: FitResult
-    delta_df: int
-    f_stat: float
-    p_value: float
 
 
 def qr_solve(x: np.ndarray, y: np.ndarray, *, check_rank: bool = True) -> np.ndarray:
@@ -140,34 +123,6 @@ def f_test_from_r2(
     return delta_df, f, f_sf(f, delta_df, df_complete)
 
 
-def nested_f_test(smaller: FitResult, larger: FitResult, complete: FitResult) -> ModelComparison:
-    """F test of the R-squared drop from ``larger`` to ``smaller``.
-
-    Requires smaller's terms to be a subset of larger's, larger's a subset of
-    complete's, and all three fitted on the same rows; the denominator uses
-    the complete model's residual variance.
-    """
-    if smaller.n != larger.n or larger.n != complete.n:
-        raise NestingError("models were fitted on different row counts")
-    if not larger.formula.contains(smaller.formula):
-        raise NestingError(
-            f"{smaller.formula.to_string()!r} is not nested in {larger.formula.to_string()!r}"
-        )
-    if not complete.formula.contains(larger.formula):
-        raise NestingError(
-            f"{larger.formula.to_string()!r} is not nested in {complete.formula.to_string()!r}"
-        )
-    delta_df, f, p = f_test_from_r2(
-        smaller.r_squared,
-        smaller.residual_df,
-        larger.r_squared,
-        larger.residual_df,
-        complete.r_squared,
-        complete.residual_df,
-    )
-    return ModelComparison(smaller, larger, complete, delta_df, f, p)
-
-
 def _aic(fit: FitResult) -> float:
     # R's extractAIC scale for lm: n*log(RSS/n) + 2*edf, additive constant dropped.
     return fit.n * math.log(fit.rss / fit.n) + 2.0 * fit.n_coefficients
@@ -185,9 +140,6 @@ class StepwiseTrace:
     criterion: str
     complete: FitResult
     steps: list[StepwiseStep] = field(default_factory=list)
-
-    def formulas(self) -> list[ModelFormula]:
-        return [s.formula for s in self.steps]
 
     def reduced(self) -> FitResult | None:
         """The least harmful single-term reduction of the refined model.
@@ -232,12 +184,17 @@ def stepwise_refine(
         best: tuple[float, Term, FitResult] | None = None
         for term in droppable:
             reduced = ols_fit(data, current.formula.without(term), levels)
-            cmp = nested_f_test(reduced, current, complete)
-            candidate = {
-                "term": term, "fit": reduced, "r_squared": reduced.r_squared, "f": cmp.f_stat, "p": cmp.p_value
-            }
+            _, f, p = f_test_from_r2(
+                reduced.r_squared,
+                reduced.residual_df,
+                current.r_squared,
+                current.residual_df,
+                complete.r_squared,
+                complete.residual_df,
+            )
+            candidate = {"term": term, "fit": reduced, "r_squared": reduced.r_squared, "f": f, "p": p}
             if criterion == "f_test":
-                score = cmp.p_value
+                score = p
                 keep = best is None or score > best[0]
             else:
                 score = candidate["aic"] = _aic(reduced)

@@ -50,6 +50,11 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer (a numpy one too) and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentDesign:
     """The repeated-measures design: depth set, environments, repetitions, timing."""
@@ -70,8 +75,10 @@ class ExperimentDesign:
             raise DomainError("a design needs at least two depths")
         if not self.environments or len(set(self.environments)) != len(self.environments):
             raise DomainError("environments must be distinct and at least one")
-        if self.repetitions < 1 or self.n_participants < 1:
-            raise DomainError("repetitions and participants must be >= 1")
+        if not all(_is_count(v) and v >= 1 for v in (self.repetitions, self.n_participants)):
+            raise DomainError("repetitions and participants must be integers >= 1")
+        if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
+            raise DomainError(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
 
     @property
     def depth_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -280,6 +287,10 @@ class CohortConfig:
     )
     subjective_jitter_sd: float = 0.05
     subjective_repetitions: int = 3
+
+    def __post_init__(self):
+        if not (_is_count(self.subjective_repetitions) and self.subjective_repetitions >= 0):
+            raise DomainError(f"subjective_repetitions must be an integer >= 0, got {self.subjective_repetitions!r}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CohortConfig":

@@ -256,6 +256,17 @@ MALFORMED_CLI = {
     "preprocess_long_field": ("preprocess", {"--in": ("dataset", _gaze_rows(_with_field(0, "1" * 140_000)))}, [], None),
     "report_analysis_list": ("report", {"--analysis": "[]"}, ["--out", "OUT"], None),
     "report_analysis_scalar": ("report", {"--analysis": "3"}, ["--out", "OUT"], None),
+    # Sections of the wrong shape, and a depth that overflows the axis ticks.
+    "report_analysis_section_scalar": ("report", {"--analysis": json.dumps({"depth_environment": 5})},
+                                       ["--out", "OUT"], None),
+    "report_analysis_cell_scalar": ("report", {"--analysis": json.dumps(
+        {"data": {"condition_means": [1]}, "depth_environment": {"rows": []}})}, ["--out", "OUT"], None),
+    "report_analysis_infinite_depth": ("report", {"--analysis": json.dumps(
+        {"data": {"condition_means": [{"end_depth_d": float("inf"), "environment": "AR", "gva_deg": 18.0},
+                                      {"end_depth_d": 1.0, "environment": "AR", "gva_deg": 19.0}]},
+         "depth_environment": {"rows": []}})}, ["--out", "OUT"], None),
+    "analyze_logratio_without_subjective": ("analyze", {"--gva-table": GVA_TABLE_HEADER}, ["--logratio", "--out", "OUT"],
+                                            None),
     # The simulator rejects --seed -1, so a design file whose shape goes
     # unchecked fails at once with a ValueError instead of simulating the
     # default cohort.
@@ -266,6 +277,14 @@ MALFORMED_CLI = {
                                    ["--seed", "-1", "--out", "OUT"], None),
     "simulate_design_unknown_key": ("simulate", {"--design": json.dumps({"cohort": {"noise_sd": 0.4}})},
                                     ["--seed", "-1", "--out", "OUT"], None),
+    # Values of the right type that the simulator cannot run.
+    "simulate_design_fractional_repetitions": ("simulate", {"--design": json.dumps({"design": {"repetitions": 1.5}})},
+                                               ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_subjective_repetitions_text": (
+        "simulate", {"--design": json.dumps({"cohort": {"subjective_repetitions": "x"}})},
+        ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_zero_sample_rate": ("simulate", {"--design": json.dumps({"design": {"sample_rate_hz": 0}})},
+                                         ["--seed", "-1", "--out", "OUT"], None),
     # Command lines the argument grammar rejects.
     "preprocess_usage_threads": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))}, ["--threads", "2"], None),
     "estimate_usage_unknown_flag": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--bogus"], ""),
@@ -389,6 +408,13 @@ def _split_a_session(data):
     dataio.write_json(str(data / "manifests" / "a_late_half_of_p01_Real.json"), second, precise=True)
 
 
+def load_dataset_trials(datadir):
+    """Every trial under ``datadir/manifests``, manifest by manifest in file-name order."""
+    mandir = os.path.join(datadir, "manifests")
+    paths = [os.path.join(mandir, name) for name in sorted(os.listdir(mandir)) if name.endswith(".json")]
+    return [t for path in paths for t in dataio._manifest_trials(dataio.load_manifest(path), path)]
+
+
 class TestSessionStreaming:
     """``preprocess`` cleans one session at a time, with the bytes of ``preprocess_dataset`` on the whole dataset."""
 
@@ -399,7 +425,7 @@ class TestSessionStreaming:
         data = _copy_dataset(streamed_dataset, tmp_path / "data")
         rearrange(data)
         assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "cli")]) == 0
-        processed, validity = preprocess_dataset(dataio.load_dataset_trials(str(data)))
+        processed, validity = preprocess_dataset(load_dataset_trials(str(data)))
         expected = tmp_path / "expected"
         expected.mkdir()
         dataio.write_gva_table_csv(str(expected / "gva_table.csv"), processed)

@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vergescope.errors import DegenerateInputError, DomainError
-from vergescope.geometry import (
-    EyeConfig,
-    GazeRay,
-    TargetSpec,
-    Vec3,
-    forward_gaze,
-    ideal_vergence,
-    _vergence_angle_pair,
-    to_diopters,
-    vergence_angle,
-    vergence_angles,
-)
+from vergescope.errors import DomainError
+from vergescope.geometry import ideal_vergence, to_diopters, vergence_angle, vergence_angles
 from vergescope.synth import CohortConfig, ExperimentDesign, simulate_cohort
 
 IPD = 0.0648
@@ -35,40 +24,28 @@ def brute_force_vergence(depth_m: float, ipd: float) -> float:
 
 class TestVergenceAngle:
     def test_identical_vectors(self):
-        assert vergence_angle(Vec3(0, 0, 1), Vec3(0, 0, 1)) == 0.0
+        assert vergence_angle((0, 0, 1), (0, 0, 1)) == 0.0
 
     def test_orthogonal_vectors(self):
-        assert vergence_angle(Vec3(1, 0, 0), Vec3(0, 0, 1)) == pytest.approx(90.0)
+        assert vergence_angle((1, 0, 0), (0, 0, 1)) == pytest.approx(90.0)
 
     def test_matches_midline_closed_form(self):
-        left, right = forward_gaze(TargetSpec.midline(0.25), EyeConfig(IPD))
-        angle = vergence_angle(left.direction, right.direction)
+        # Each eye looks from its center at (+-IPD/2, 0, 0) to the target at (0, 0, 0.25).
+        angle = vergence_angle((IPD / 2.0, 0.0, 0.25), (-IPD / 2.0, 0.0, 0.25))
         assert angle == pytest.approx(2.0 * math.degrees(math.atan(IPD / 0.5)), abs=1e-9)
         assert angle == pytest.approx(brute_force_vergence(0.25, IPD), abs=1e-9)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            vergence_angle(Vec3(0, 0, 0), Vec3(0, 0, 1))
-
-    @pytest.mark.parametrize("zero", [Vec3(0, 0, 0), Vec3(-0.0, 0.0, -0.0)])
-    def test_all_zero_components_rejected(self, zero):
-        with pytest.raises(DegenerateInputError):
-            vergence_angle(Vec3(0, 0, 1), zero)
-        with pytest.raises(DegenerateInputError):
-            zero.normalized()
+    @pytest.mark.parametrize("zero", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
+    def test_all_zero_vector_gives_nan(self, zero):
+        assert math.isnan(vergence_angle((0, 0, 1), zero))
+        assert math.isnan(vergence_angle(zero, (0, 0, 1)))
+        assert math.isnan(vergence_angles(np.array([zero]), np.array([[0.0, 0.0, 1.0]]))[0])
 
     def test_tiny_vectors_get_the_kernel_angle(self):
-        # Vec3.norm() underflows to 0 here, but the vectors are not zero.
-        left, right = Vec3(1e-170, 0, 1e-170), Vec3(-1e-170, 0, 1e-170)
-        assert left.norm() == 0.0
+        # The sums of squares underflow to 0 here, but the vectors are not zero.
+        left, right = (1e-170, 0, 1e-170), (-1e-170, 0, 1e-170)
         assert vergence_angle(left, right) == 90.0
-        assert vergence_angle(left, right) == vergence_angles(np.array([[1e-170, 0, 1e-170]]),
-                                                              np.array([[-1e-170, 0, 1e-170]]))[0]
-
-    def test_gaze_ray_accepts_a_tiny_direction(self):
-        ray = GazeRay(Vec3(0, 0, 0), Vec3(1e-170, 0, 1e-170))
-        assert ray.direction == Vec3(1, 0, 1).normalized()
-        assert Vec3(0, 5e-324, 0).normalized() == Vec3(0, 1, 0)
+        assert vergence_angle(left, right) == vergence_angles(np.array([left]), np.array([right]))[0]
 
     @given(*[st.one_of(st.just(0.0), st.floats(1e-6, 1), st.floats(-1, -1e-6))] * 4,
            st.floats(0.1, 1), st.floats(0.1, 1))
@@ -76,40 +53,14 @@ class TestVergenceAngle:
         # Scaling by 2**-600 is exact for these components, so dividing the
         # tiny vector by its largest component gives the unscaled quotient.
         tiny = 2.0**-600
-        left, right = Vec3(lx, ly, lz), Vec3(rx, ry, rz)
-        ml, mr = max(map(abs, left.as_tuple())), max(map(abs, right.as_tuple()))
-        expected = vergence_angles(np.array([left.as_tuple()]) / ml, np.array([right.as_tuple()]) / mr)[0]
-        assert _same_bits(vergence_angle(left.scaled(tiny), right.scaled(tiny)), expected)
-        rescaled = Vec3(*(c / ml for c in left.as_tuple()))
-        n = rescaled.norm()
-        assert left.scaled(tiny).normalized() == Vec3(rescaled.x / n, rescaled.y / n, rescaled.z / n)
+        left, right = (lx, ly, lz), (rx, ry, rz)
+        ml, mr = max(map(abs, left)), max(map(abs, right))
+        expected = vergence_angles(np.array([left]) / ml, np.array([right]) / mr)[0]
+        assert _same_bits(vergence_angle([c * tiny for c in left], [c * tiny for c in right]), expected)
 
-    def test_gaze_ray_accepts_a_huge_direction(self):
-        # The sum of squares overflows to inf here, but the vector is finite.
-        huge = Vec3(1e200, 0, 1e200)
-        assert GazeRay(Vec3(0, 0, 0), huge).direction == Vec3(1, 0, 1).normalized()
-        assert Vec3(0, 1.7976931348623157e308, 0).normalized() == Vec3(0, 1, 0)
-        assert vergence_angle(huge, Vec3(-1e200, 0, 1e200)) == 90.0
-
-    @given(*[st.one_of(st.just(0.0), st.floats(1e-6, 1), st.floats(-1, -1e-6))] * 2, st.floats(0.1, 1))
-    def test_huge_vectors_are_rescaled_by_their_largest_component(self, x, y, z):
-        # Scaling by 2**600 is exact, and the scaled sum of squares overflows.
-        v = Vec3(x, y, z)
-        largest = max(map(abs, v.as_tuple()))
-        rescaled = Vec3(x / largest, y / largest, z / largest)
-        n = rescaled.norm()
-        assert v.scaled(2.0**600).normalized() == Vec3(rescaled.x / n, rescaled.y / n, rescaled.z / n)
-
-    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150), st.floats(1e-150, 1e150))
-    def test_normalized_keeps_its_bits_above_the_underflow(self, x, y, z):
-        v = Vec3(x, y, z)
-        n = v.norm()
-        assert v.normalized() == Vec3(x / n, y / n, z / n)
-
-    def test_projection_mode_drops_elevation(self):
-        up_tilted = Vec3(0.1, 0.5, 1.0)
-        flat = Vec3(0.1, 0.0, 1.0)
-        assert vergence_angle(up_tilted, flat, project_horizontal=True) == pytest.approx(0.0, abs=1e-9)
+    def test_huge_vectors_get_the_kernel_angle(self):
+        # The sum of squares overflows to inf here, but the vectors are finite.
+        assert vergence_angle((1e200, 0, 1e200), (-1e200, 0, 1e200)) == 90.0
 
     @given(
         st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1),
@@ -117,21 +68,18 @@ class TestVergenceAngle:
         st.floats(0.01, 100.0),
     )
     def test_symmetry_and_scale_invariance(self, lx, ly, lz, rx, ry, rz, k):
-        left, right = Vec3(lx, ly, lz), Vec3(rx, ry, rz)
+        left, right = (lx, ly, lz), (rx, ry, rz)
         a = vergence_angle(left, right)
         assert a == pytest.approx(vergence_angle(right, left), abs=1e-9)
         # arccos conditioning near 0/180 deg bounds the achievable agreement
-        assert a == pytest.approx(vergence_angle(left.scaled(k), right), abs=2e-5)
+        assert a == pytest.approx(vergence_angle([c * k for c in left], right), abs=2e-5)
         assert 0.0 <= a <= 180.0
 
 
-def reference_vergence_angle(left_dir: Vec3, right_dir: Vec3, *, project_horizontal: bool = False) -> float:
-    """The scalar acos maths ``vergence_angle`` used before it wrapped the array kernel."""
-    if project_horizontal:
-        left_dir = Vec3(left_dir.x, 0.0, left_dir.z)
-        right_dir = Vec3(right_dir.x, 0.0, right_dir.z)
-    nl, nr = left_dir.norm(), right_dir.norm()
-    c = left_dir.dot(right_dir) / (nl * nr)
+def reference_vergence_angle(left_dir, right_dir) -> float:
+    """The scalar acos maths ``vergence_angle`` used before it shared the array kernel's bits."""
+    nl, nr = math.sqrt(sum(c * c for c in left_dir)), math.sqrt(sum(c * c for c in right_dir))
+    c = sum(a * b for a, b in zip(left_dir, right_dir)) / (nl * nr)
     c = max(-1.0, min(1.0, c))
     return math.degrees(math.acos(c))
 
@@ -143,7 +91,7 @@ class TestVergenceKernelOracle:
         for trial in dataset.trials[:20]:
             s = trial.samples
             rows = np.flatnonzero(~np.isnan(s.gva_deg))
-            angles = [vergence_angle(Vec3(*s.l_dir[i]), Vec3(*s.r_dir[i])) for i in rows]
+            angles = [vergence_angle(tuple(s.l_dir[i]), tuple(s.r_dir[i])) for i in rows]
             np.testing.assert_array_equal(np.array(angles).view(np.uint64), s.gva_deg[rows].view(np.uint64))
             checked += len(rows)
         assert checked > 10_000
@@ -151,13 +99,12 @@ class TestVergenceKernelOracle:
     @given(
         st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1),
         st.floats(-1, 1), st.floats(-1, 1), st.floats(0.1, 1),
-        st.booleans(),
     )
-    def test_matches_scalar_reference(self, lx, ly, lz, rx, ry, rz, horizontal):
-        left, right = Vec3(lx, ly, lz), Vec3(rx, ry, rz)
-        expected = reference_vergence_angle(left, right, project_horizontal=horizontal)
+    def test_matches_scalar_reference(self, lx, ly, lz, rx, ry, rz):
+        left, right = (lx, ly, lz), (rx, ry, rz)
+        expected = reference_vergence_angle(left, right)
         # the tolerance of the scale-invariance property above: arccos near 0/180 deg
-        assert vergence_angle(left, right, project_horizontal=horizontal) == pytest.approx(expected, abs=2e-5)
+        assert vergence_angle(left, right) == pytest.approx(expected, abs=2e-5)
 
 
 def reference_vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
@@ -203,7 +150,7 @@ def vector_pairs(draw):
 
 
 class TestOnePairKernel:
-    """``_vergence_angle_pair`` (behind ``vergence_angle`` and one-row pushes) against ``vergence_angles``."""
+    """``vergence_angle`` (behind one-row pushes) against ``vergence_angles``."""
 
     @settings(max_examples=500, deadline=None)
     @example([((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), ((math.nan, 0.0, 1.0), (0.0, 0.0, 1.0))])
@@ -217,7 +164,7 @@ class TestOnePairKernel:
         batch = vergence_angles(left, right)
         for i, (l_dir, r_dir) in enumerate(pairs):
             one_row = vergence_angles(left[i : i + 1], right[i : i + 1])
-            angle = _vergence_angle_pair(l_dir, r_dir)
+            angle = vergence_angle(l_dir, r_dir)
             assert type(angle) is float
             assert _same_bits(angle, batch[i]) and _same_bits(angle, one_row[0]), (l_dir, r_dir, angle, batch[i])
 
@@ -253,14 +200,14 @@ class TestOnePairKernel:
         unscaled = vergence_angles(np.array([l_dir]), np.array([r_dir]))[0]
         tiny = vergence_angles(np.array([l_dir]) * scale, np.array([r_dir]) * scale)[0]
         assert tiny == pytest.approx(unscaled, abs=1e-12)
-        assert _same_bits(_vergence_angle_pair([c * scale for c in l_dir], [c * scale for c in r_dir]), tiny)
+        assert _same_bits(vergence_angle([c * scale for c in l_dir], [c * scale for c in r_dir]), tiny)
         assert math.isnan(vergence_angles(np.array([[0.0, -0.0, 0.0]]), np.array([r_dir]))[0])
 
     def test_overflowing_vector_keeps_its_angle(self):
         big = vergence_angles(np.array([[1e200, 0.0, 1e200]]), np.array([[-1e200, 0.0, 1e200]]))
         assert big[0] == pytest.approx(90.0)
-        assert _vergence_angle_pair((3e300, 0.0, 3e300), (-1.0, 0.0, 1.0)) == pytest.approx(90.0)
-        assert vergence_angle(Vec3(1e300, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)) == pytest.approx(90.0)
+        assert vergence_angle((3e300, 0.0, 3e300), (-1.0, 0.0, 1.0)) == pytest.approx(90.0)
+        assert vergence_angle((1e300, 0.0, 0.0), (0.0, 1.0, 0.0)) == pytest.approx(90.0)
 
 
 class TestIdealVergence:
@@ -335,61 +282,3 @@ class TestToDiopters:
     @given(st.floats(1e-6, 1e6))
     def test_self_inverse(self, x):
         assert to_diopters(to_diopters(x)) == pytest.approx(x, rel=1e-12)
-
-
-class TestForwardGaze:
-    def test_far_midline_nearly_parallel(self):
-        left, right = forward_gaze(TargetSpec.midline(4.0), EyeConfig(IPD))
-        angle = vergence_angle(left.direction, right.direction)
-        assert angle == pytest.approx(ideal_vergence(4.0, IPD), abs=1e-9)
-        assert angle < 1.0
-
-    def test_rotation_invariance_with_compensating_yaw(self):
-        eyes = EyeConfig(IPD)
-        base = vergence_angle(*[r.direction for r in forward_gaze(TargetSpec.midline(0.75), eyes)])
-        for yaw in (25.0, -7.6, 5.71, 120.0):
-            lateral = TargetSpec.at_azimuth(0.75, yaw)
-            left, right = forward_gaze(lateral, eyes, head_yaw=yaw)
-            assert vergence_angle(left.direction, right.direction) == pytest.approx(base, abs=1e-9)
-
-    def test_vanishing_ipd_limit(self):
-        left, right = forward_gaze(TargetSpec.midline(0.5), EyeConfig(1e-9))
-        assert vergence_angle(left.direction, right.direction) == pytest.approx(0.0, abs=1e-6)
-        # exactly coincident eyes: identical directions, zero angle
-        ray = GazeRay(Vec3(0, 0, 0), Vec3(0, 0, 1))
-        assert vergence_angle(ray.direction, ray.direction) == 0.0
-
-    def test_target_at_eye_center_rejected(self):
-        eyes = EyeConfig(IPD)
-        target = TargetSpec(eyes.left_center, 1.0, 1.0)
-        with pytest.raises(DegenerateInputError):
-            forward_gaze(target, eyes)
-
-    def test_origins_rotate_with_head(self):
-        eyes = EyeConfig(IPD)
-        left, right = forward_gaze(TargetSpec.midline(1.0), eyes, head_yaw=90.0)
-        # turning right swings the left eye forward, the right eye back
-        assert left.origin.z == pytest.approx(IPD / 2.0, abs=1e-12)
-        assert right.origin.z == pytest.approx(-IPD / 2.0, abs=1e-12)
-
-
-class TestTypes:
-    def test_eye_config_separation_invariant(self):
-        with pytest.raises(DomainError):
-            EyeConfig(0.06, Vec3(-0.03, 0, 0), Vec3(0.04, 0, 0))
-        cfg = EyeConfig(0.06)
-        assert (cfg.left_center - cfg.right_center).norm() == pytest.approx(0.06, abs=1e-12)
-
-    def test_target_spec_consistency(self):
-        with pytest.raises(DomainError):
-            TargetSpec(Vec3(0, 0, 1), 1.0, 2.0)
-        with pytest.raises(DomainError):
-            TargetSpec.midline(-1.0)
-
-    def test_gaze_ray_normalizes(self):
-        ray = GazeRay(Vec3(0, 0, 0), Vec3(0, 0, 10.0))
-        assert ray.direction.norm() == pytest.approx(1.0, abs=1e-9)
-
-    def test_nonfinite_component_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            Vec3(math.nan, 0, 0)

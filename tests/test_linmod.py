@@ -7,7 +7,6 @@ from vergescope.stats import (
     ModelFormula,
     ShareDef,
     f_test_from_r2,
-    nested_f_test,
     ols_fit,
     stepwise_refine,
     variance_attribution,
@@ -94,37 +93,39 @@ class TestNestedF:
         rm = ols_fit(data, "y ~ 1")
         return rm, fm, cm
 
+    @staticmethod
+    def f_test(smaller, larger, complete):
+        return f_test_from_r2(
+            smaller.r_squared,
+            smaller.residual_df,
+            larger.r_squared,
+            larger.residual_df,
+            complete.r_squared,
+            complete.residual_df,
+        )
+
     def test_comparison_structure(self):
         rm, fm, cm = self.fits()
-        cmp = nested_f_test(fm, cm, cm)
-        assert cmp.delta_df == 2
-        assert cmp.f_stat >= 0.0
-        assert 0.0 <= cmp.p_value <= 1.0
+        delta_df, f, p = self.f_test(fm, cm, cm)
+        assert delta_df == 2
+        assert f >= 0.0
+        assert 0.0 <= p <= 1.0
 
     def test_identical_models(self):
         _, fm, cm = self.fits()
-        cmp = nested_f_test(fm, fm, cm)
-        assert cmp.f_stat == 0.0
-        assert cmp.p_value == 1.0
+        assert self.f_test(fm, fm, cm) == (0, 0.0, 1.0)
 
-    def test_non_nested_rejected(self):
-        rng = np.random.default_rng(6)
-        n = 30
-        data = {"a": rng.normal(size=n), "b": rng.normal(size=n), "y": rng.normal(size=n)}
-        fa = ols_fit(data, "y ~ a")
-        fb = ols_fit(data, "y ~ b")
-        cm = ols_fit(data, "y ~ a + b")
+    @pytest.mark.parametrize(
+        "summaries",
+        [
+            (0.1, 20, 0.2, 20, 0.3, 18),  # R-squared differs but the residual df do not
+            (0.2, 18, 0.1, 20, 0.3, 17),  # the smaller model has fewer residual df
+            (0.1, 20, 0.2, 18, 1.0, 0),  # the complete model has no residual df
+        ],
+    )
+    def test_inconsistent_summaries_rejected(self, summaries):
         with pytest.raises(NestingError):
-            nested_f_test(fa, fb, cm)
-
-    def test_row_count_mismatch_rejected(self):
-        rng = np.random.default_rng(8)
-        d1 = {"a": rng.normal(size=20), "y": rng.normal(size=20)}
-        d2 = {"a": rng.normal(size=25), "y": rng.normal(size=25)}
-        small = ols_fit(d1, "y ~ 1")
-        large = ols_fit(d2, "y ~ a")
-        with pytest.raises(NestingError):
-            nested_f_test(small, large, large)
+            f_test_from_r2(*summaries)
 
     def test_summary_core_reproduces_published_tables(self):
         # Values as printed in the source analyses; F to +/-0.1.
@@ -214,7 +215,7 @@ class TestStepwise:
 
 class TestAttribution:
     def summary(self, r2, df, formula="y ~ 1"):
-        return FitResult.from_summary(ModelFormula.parse(formula), r2, df, df + 1)
+        return FitResult(ModelFormula.parse(formula), {}, r2, df, df + 1, float("nan"), float("nan"))
 
     def test_depth_environment_footer(self):
         models = {"cm": self.summary(0.0876, 150), "fm": self.summary(0.0839, 154)}

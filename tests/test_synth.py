@@ -53,6 +53,30 @@ class TestDesign:
         with pytest.raises(DomainError):
             ExperimentDesign(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"repetitions": 1.5},
+            {"repetitions": True},
+            {"n_participants": 2.0},
+            {"sample_rate_hz": 0},
+            {"sample_rate_hz": math.inf},
+            {"sample_rate_hz": math.nan},
+        ],
+    )
+    def test_rejects_designs_the_simulator_cannot_run(self, kwargs):
+        with pytest.raises(DomainError):
+            ExperimentDesign(**kwargs)
+
+    @pytest.mark.parametrize("value", [-1, 1.5, "x", False])
+    def test_rejects_a_bad_subjective_repetition_count(self, value):
+        with pytest.raises(DomainError):
+            CohortConfig(subjective_repetitions=value)
+
+    def test_accepts_numpy_integer_counts(self):
+        assert CohortConfig(subjective_repetitions=np.int64(0)).subjective_repetitions == 0
+        assert ExperimentDesign(repetitions=np.int64(2)).trials_per_session == 24
+
 
 class TestSequence:
     def test_chaining_and_counts(self):
