@@ -20,7 +20,6 @@ from .calibration import (
 )
 from .geometry import ideal_vergence, to_diopters, vergence_angle
 from .pipeline import (
-    FixationConfig,
     PipelineConfig,
     ProcessedTrial,
     ValidityReport,

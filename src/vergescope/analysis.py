@@ -287,7 +287,6 @@ def subjective_diopters(reports: Sequence[SubjectiveReport]) -> dict[tuple[str, 
 def analyze_veridicality(
     cells: Sequence[ConditionCell],
     reports: Sequence[SubjectiveReport],
-    use_normalized_gva: bool = False,
     criterion: str = "f_test",
     alpha: float = 0.05,
 ) -> dict:
@@ -302,7 +301,7 @@ def analyze_veridicality(
     norm_vals: dict[tuple[str, float, str], float] = {}
     for c in cells:
         key = (c.participant_id, c.end_depth_m, c.environment)
-        gva_vals[key] = c.normalized_gva_deg if use_normalized_gva else c.gva_deg
+        gva_vals[key] = c.gva_deg
         if c.normalized_gva_deg is not None:
             norm_vals[key] = c.normalized_gva_deg
     subj = subjective_diopters(reports)

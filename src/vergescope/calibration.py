@@ -215,9 +215,8 @@ class DepthStream:
 def environment_offsets(
     observations: Sequence[GvaObservation],
     environments: Sequence[str] = ("Real", "AR", "VR"),
-    use_normalized: bool = True,
 ) -> dict:
-    """Per-environment intercepts of the additive model on (normalized) values.
+    """Per-environment intercepts of the additive model on normalized values.
 
     Fits ``gva ~ end_depth_d + environment`` with the first environment as
     reference and reports each environment's intercept relative to the common
@@ -231,7 +230,7 @@ def environment_offsets(
         raise MissingLevelError(f"no observations for environment(s) {missing}")
     values = []
     for obs in observations:
-        v = obs.normalized_gva_deg if use_normalized else obs.gva_deg
+        v = obs.normalized_gva_deg
         if v is None:
             raise MissingLevelError(
                 f"observation for {obs.participant_id!r} lacks a normalized value"

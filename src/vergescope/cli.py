@@ -20,7 +20,7 @@ from . import dataio
 from .analysis import condition_means, run_analysis
 from .calibration import DepthStream, fit_participants
 from .errors import DomainError, GazeParseError, UsageError, VergescopeError
-from .pipeline import FixationConfig, PipelineConfig, preprocess_sessions
+from .pipeline import PipelineConfig, preprocess_sessions
 from .report import render_analysis
 from .synth import CohortConfig, ExperimentDesign
 
@@ -67,7 +67,6 @@ def _cmd_preprocess(args) -> int:
         max_velocity_deg_s=args.max_velocity,
         outlier_k_sd=args.sd_k,
         outlier_scope=args.sd_scope,
-        fixation=FixationConfig(),
     )
     processed, validity = preprocess_sessions(dataio.iter_dataset_sessions(args.indir), config)
     outdir = args.out or args.indir

@@ -6,6 +6,14 @@ sample slots, only shrinks the valid set, and is idempotent. Boundary
 semantics: confidence strictly below threshold, velocity strictly above,
 outlier at or beyond k standard deviations, trial validity strictly above 50%.
 ``VelocityGate`` holds the velocity rule, for ``calibration.DepthStream`` too.
+
+``PipelineConfig`` holds the filter thresholds and the outlier scope, one
+field per ``preprocess`` flag. The rest of the method is fixed where it is
+applied: the dispersion fixation rule in the ``FIXATION_*`` constants beside
+``detect_fixation_onset``, the 1-2 s window after onset in
+``analysis_window``, the 50 % validity bar in ``trial_validity``, and the
+3/6/3 pair, environment and participant gate in ``validity_gate``'s
+defaults, which ``cascade_validity`` applies and ``analyze --min-*`` sets.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Iterable, Sequence
@@ -25,7 +33,6 @@ from .recording import DepthPair, SampleStatus, TrialRecord, depth_pair_label
 
 __all__ = [
     "PipelineConfig",
-    "FixationConfig",
     "confidence_filter",
     "VelocityGate",
     "velocity_filter",
@@ -46,35 +53,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FixationConfig:
-    """Dispersion-threshold fixation detection parameters.
-
-    A fixation is a maximal run of windows of at least ``min_duration_s``
-    whose cyclopean gaze direction stays within ``dispersion_deg`` (azimuth
-    range plus elevation range). Only fixations whose onset falls at least
-    ``min_onset_latency_s`` after stimulus onset and before the button
-    response qualify.
-    """
-
-    dispersion_deg: float = 1.5
-    min_duration_s: float = 0.100
-    min_onset_latency_s: float = 0.250
-    min_valid_window_fraction: float = 0.5
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     confidence_threshold: float = 0.75
     max_velocity_deg_s: float = 5000.0
     outlier_k_sd: float = 2.5
     outlier_scope: str = "session"  # "session" (per participant+environment) or "trial"
-    window_offset_s: float = 1.0
-    window_length_s: float = 1.0
-    min_valid_fraction: float = 0.5
-    min_valid_trials_per_pair: int = 3
-    min_valid_pairs_per_environment: int = 6
-    required_valid_environments: int = 3
-    fixation: FixationConfig = field(default_factory=FixationConfig)
 
 
 def confidence_filter(trial: TrialRecord, threshold: float = 0.75) -> TrialRecord:
@@ -190,16 +173,24 @@ def _window_dispersions(az: np.ndarray, el: np.ndarray, w: int, min_valid: int) 
     return disp
 
 
-def detect_fixation_onset(trial: TrialRecord, cfg: FixationConfig | None = None) -> float:
+FIXATION_DISPERSION_DEG = 1.5
+FIXATION_MIN_DURATION_S = 0.100
+FIXATION_MIN_LATENCY_S = 0.250
+FIXATION_MIN_VALID_SHARE = 0.5
+
+
+def detect_fixation_onset(trial: TrialRecord) -> float:
     """Onset time of the first qualifying dispersion-based fixation.
 
-    Runs on the cyclopean gaze direction of the filtered series. The search
-    starts ``min_onset_latency_s`` after stimulus onset (gaze stable from the
-    stimulus on therefore yields that boundary, adjusted to the first sample)
-    and must land before the button response when one is present; raises
-    NoFixationError when no window ever stabilizes.
+    A fixation starts at a window of ``FIXATION_MIN_DURATION_S`` whose
+    cyclopean gaze direction stays within ``FIXATION_DISPERSION_DEG``
+    (azimuth range plus elevation range), with at least
+    ``FIXATION_MIN_VALID_SHARE`` of its samples valid. Runs on the filtered
+    series. The search starts ``FIXATION_MIN_LATENCY_S`` after stimulus onset
+    (gaze stable from the stimulus on therefore yields that boundary,
+    adjusted to the first sample) and must land before the button response
+    when one is present; raises NoFixationError when no window ever stabilizes.
     """
-    cfg = cfg or FixationConfig()
     series = trial.samples
     n = len(series)
     if n == 0:
@@ -207,7 +198,7 @@ def detect_fixation_onset(trial: TrialRecord, cfg: FixationConfig | None = None)
     dt = float(np.median(np.diff(series.t_s))) if n > 1 else 0.0
     if dt <= 0.0:
         raise NoFixationError(f"trial {trial.trial_id}: cannot infer sample interval")
-    w = max(2, int(round(cfg.min_duration_s / dt)))
+    w = max(2, int(round(FIXATION_MIN_DURATION_S / dt)))
     if n < w:
         raise NoFixationError(f"trial {trial.trial_id}: too short for a fixation window")
     az, el = series.cyclopean_angles()
@@ -216,10 +207,10 @@ def detect_fixation_onset(trial: TrialRecord, cfg: FixationConfig | None = None)
     el = el.copy()
     az[invalid] = np.nan
     el[invalid] = np.nan
-    min_valid = max(2, int(math.ceil(w * cfg.min_valid_window_fraction)))
+    min_valid = max(2, int(math.ceil(w * FIXATION_MIN_VALID_SHARE)))
     disp = _window_dispersions(az, el, w, min_valid)
-    stable = disp <= cfg.dispersion_deg
-    earliest = trial.stimulus_onset_s + cfg.min_onset_latency_s
+    stable = disp <= FIXATION_DISPERSION_DEG
+    earliest = trial.stimulus_onset_s + FIXATION_MIN_LATENCY_S
     for i in np.flatnonzero(stable):
         onset = float(series.t_s[i])
         if onset < earliest:
@@ -232,12 +223,12 @@ def detect_fixation_onset(trial: TrialRecord, cfg: FixationConfig | None = None)
     )
 
 
-def analysis_window(trial: TrialRecord, offset_s: float = 1.0, length_s: float = 1.0) -> tuple[float, float]:
-    """The [onset+offset, onset+offset+length) window used for the trial mean."""
+def analysis_window(trial: TrialRecord) -> tuple[float, float]:
+    """The [onset + 1 s, onset + 2 s) window used for the trial mean."""
     if trial.fixation_onset_s is None:
         raise DomainError(f"trial {trial.trial_id}: fixation onset not set")
-    t0 = trial.fixation_onset_s + offset_s
-    t1 = t0 + length_s
+    t0 = trial.fixation_onset_s + 1.0
+    t1 = t0 + 1.0
     series = trial.samples
     if len(series) == 0:
         raise ShortTrialError(f"trial {trial.trial_id}: no samples")
@@ -249,16 +240,15 @@ def analysis_window(trial: TrialRecord, offset_s: float = 1.0, length_s: float =
     return t0, t1
 
 
-def trial_mean_gva(trial: TrialRecord, window: tuple[float, float] | None = None) -> tuple[float, float]:
-    """Mean vergence angle over valid samples in the analysis window.
+def trial_mean_gva(trial: TrialRecord) -> tuple[float, float]:
+    """Mean vergence angle over valid samples in ``analysis_window``.
 
     Returns (mean_deg, valid_fraction); the fraction counts valid samples
-    against all sample slots inside the window. Raises DomainError when the
-    window holds no valid samples.
+    against all sample slots inside the window. Raises ShortTrialError when
+    the samples end before the window does, and DomainError when the window
+    holds no valid samples.
     """
-    if window is None:
-        window = analysis_window(trial)
-    t0, t1 = window
+    t0, t1 = analysis_window(trial)
     series = trial.samples
     in_window = (series.t_s >= t0 - 1e-12) & (series.t_s < t1 - 1e-12)
     n_total = int(np.count_nonzero(in_window))
@@ -271,12 +261,12 @@ def trial_mean_gva(trial: TrialRecord, window: tuple[float, float] | None = None
     return float(series.gva_deg[ok].mean()), n_valid / n_total
 
 
-def trial_validity(valid_fraction: float, threshold: float = 0.5) -> bool:
-    """A trial is valid when strictly more than ``threshold`` of its window samples survive.
+def trial_validity(valid_fraction: float) -> bool:
+    """A trial is valid when strictly more than half of its window samples survive.
 
     ``valid_fraction`` is the second value ``trial_mean_gva`` returns.
     """
-    return valid_fraction > threshold
+    return valid_fraction > 0.5
 
 
 @dataclass(frozen=True)
@@ -303,23 +293,22 @@ class ProcessedTrial(DepthPair):
     sample_counts: dict[str, int] | None = None
 
 
-def _finish_trial(trial: TrialRecord, config: PipelineConfig) -> ProcessedTrial:
+def _finish_trial(trial: TrialRecord) -> ProcessedTrial:
     status = "ok"
     onset = None
     mean = None
     fraction = 0.0
     try:
-        onset = detect_fixation_onset(trial, config.fixation)
+        onset = detect_fixation_onset(trial)
         trial = trial.with_fixation_onset(onset)
-        window = analysis_window(trial, config.window_offset_s, config.window_length_s)
-        mean, fraction = trial_mean_gva(trial, window)
+        mean, fraction = trial_mean_gva(trial)
     except NoFixationError:
         status = "no_fixation"
     except ShortTrialError:
         status = "short_trial"
     except DomainError:
         status = "no_valid_samples"
-    valid = status == "ok" and trial_validity(fraction, config.min_valid_fraction)
+    valid = status == "ok" and trial_validity(fraction)
     return ProcessedTrial(
         participant_id=trial.participant_id,
         environment=trial.environment,
@@ -346,7 +335,7 @@ def process_session(trials: Sequence[TrialRecord], config: PipelineConfig | None
     ]
     stats = session_gva_stats(filtered) if config.outlier_scope == "session" else None
     cleaned = [outlier_filter(t, config.outlier_k_sd, stats) for t in filtered]
-    return [_finish_trial(t, config) for t in cleaned]
+    return [_finish_trial(t) for t in cleaned]
 
 
 def preprocess_sessions(
@@ -366,7 +355,7 @@ def preprocess_sessions(
     # map drops each session's trials as soon as process_session returns.
     processed = list(chain.from_iterable(map(partial(process_session, config=config), sessions)))
     processed.sort(key=lambda p: (p.participant_id, p.environment, p.trial_id))
-    return processed, cascade_validity(processed, config)
+    return processed, cascade_validity(processed)
 
 
 def preprocess_dataset(
@@ -474,9 +463,8 @@ def validity_gate(
     return participants, retained
 
 
-def cascade_validity(processed: Sequence[ProcessedTrial], config: PipelineConfig | None = None) -> ValidityReport:
-    """Exclusion accounting plus the ``validity_gate`` verdicts at ``config``'s thresholds."""
-    config = config or PipelineConfig()
+def cascade_validity(processed: Sequence[ProcessedTrial]) -> ValidityReport:
+    """Exclusion accounting plus the ``validity_gate`` verdicts at its default thresholds."""
     by_status: dict[str, int] = defaultdict(int)
     total_samples = 0
     for p in processed:
@@ -514,12 +502,7 @@ def cascade_validity(processed: Sequence[ProcessedTrial], config: PipelineConfig
             "percent_valid": 100.0 * n_valid / len(env_trials) if env_trials else 0.0,
         }
 
-    participants, retained = validity_gate(
-        processed,
-        config.min_valid_trials_per_pair,
-        config.min_valid_pairs_per_environment,
-        config.required_valid_environments,
-    )
+    participants, retained = validity_gate(processed)
 
     landolt_all = [p.landolt_correct for p in processed]
     landolt_env = {

@@ -185,8 +185,8 @@ def depth_pair_label(start_depth_m: float, end_depth_m: float) -> str:
     return f"{start_depth_m:g}->{end_depth_m:g}"
 
 
-def depths_in_set(trial: TrialRecord, depth_set: Sequence[float], tol: float = 1e-9) -> bool:
-    """Whether both trial depths come from the declared depth set."""
-    return any(math.isclose(trial.start_depth_m, d, abs_tol=tol) for d in depth_set) and any(
-        math.isclose(trial.end_depth_m, d, abs_tol=tol) for d in depth_set
+def depths_in_set(trial: TrialRecord, depth_set: Sequence[float]) -> bool:
+    """Whether both trial depths come from the declared depth set, to within 1e-9 m."""
+    return any(math.isclose(trial.start_depth_m, d, abs_tol=1e-9) for d in depth_set) and any(
+        math.isclose(trial.end_depth_m, d, abs_tol=1e-9) for d in depth_set
     )

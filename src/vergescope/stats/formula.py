@@ -8,7 +8,7 @@ indicator columns; the first declared level is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -146,7 +146,6 @@ def _is_categorical(column: np.ndarray) -> bool:
 class DesignInfo:
     matrix: np.ndarray
     column_names: list[str]
-    term_columns: dict[Term, list[int]] = field(default_factory=dict)
 
 
 def build_design_matrix(
@@ -195,10 +194,8 @@ def build_design_matrix(
 
     out_cols: list[np.ndarray] = [np.ones(n)]
     names: list[str] = ["intercept"]
-    term_columns: dict[Term, list[int]] = {}
     for term in formula.terms:
         blocks = [encoded[v] for v in term]
-        idxs: list[int] = []
         # cartesian product over the factors' encoded columns
         combos: list[tuple[str, np.ndarray]] = blocks[0]
         for blk in blocks[1:]:
@@ -206,8 +203,6 @@ def build_design_matrix(
                 (f"{nm1}:{nm2}", c1 * c2) for (nm1, c1) in combos for (nm2, c2) in blk
             ]
         for nm, col in combos:
-            idxs.append(len(out_cols))
             out_cols.append(col)
             names.append(nm)
-        term_columns[term] = idxs
-    return DesignInfo(np.column_stack(out_cols), names, term_columns)
+    return DesignInfo(np.column_stack(out_cols), names)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import NestingError, RankDeficiencyError, VarianceShareError
 from .fdist import f_sf
-from .formula import ModelFormula, Term, build_design_matrix
+from .formula import ModelFormula, build_design_matrix
 
 __all__ = [
     "FitResult",
@@ -132,7 +132,6 @@ def _aic(fit: FitResult) -> float:
 class StepwiseStep:
     formula: ModelFormula
     candidates: list[dict]
-    dropped: Term | None
 
 
 @dataclass
@@ -177,11 +176,11 @@ def stepwise_refine(
     current = complete
     while True:
         droppable = current.formula.droppable_terms()
-        step = StepwiseStep(current.formula, [], None)
+        step = StepwiseStep(current.formula, [])
         trace.steps.append(step)
         if not droppable:
             return current, trace
-        best: tuple[float, Term, FitResult] | None = None
+        best: tuple[float, FitResult] | None = None
         for term in droppable:
             reduced = ols_fit(data, current.formula.without(term), levels)
             _, f, p = f_test_from_r2(
@@ -201,16 +200,15 @@ def stepwise_refine(
                 keep = best is None or score < best[0]
             step.candidates.append(candidate)
             if keep:
-                best = (score, term, reduced)
+                best = (score, reduced)
         assert best is not None
-        score, term, reduced = best
+        score, reduced = best
         if criterion == "f_test":
             if score <= alpha:
                 return current, trace
         else:
             if score >= _aic(current):
                 return current, trace
-        step.dropped = term
         current = reduced
 
 

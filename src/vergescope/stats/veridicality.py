@@ -60,6 +60,9 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     return r, r * r
 
 
+REFERENCE_ENV = "Real"
+
+
 @dataclass(frozen=True)
 class LogRatioRow:
     participant_id: str
@@ -71,9 +74,8 @@ class LogRatioRow:
 
 def log_ratio_table(
     values_by_measure: Mapping[str, Mapping[tuple[str, float, str], float]],
-    reference_environment: str = "Real",
 ) -> list[LogRatioRow]:
-    """Natural-log ratios of each non-reference environment against the reference.
+    """Natural-log ratios of each XR environment against ``REFERENCE_ENV`` ("Real").
 
     ``values_by_measure`` maps a measure name to per-(participant, depth,
     environment) positive values; every (participant, depth) cell must carry
@@ -88,15 +90,15 @@ def log_ratio_table(
             grouped.setdefault((pid, depth), {})[env] = value
         for (pid, depth) in sorted(grouped):
             envs = grouped[(pid, depth)]
-            if reference_environment not in envs:
+            if REFERENCE_ENV not in envs:
                 raise MissingBaselineError(
-                    f"no {reference_environment!r} value for participant {pid!r} at {depth} m ({measure})"
+                    f"no {REFERENCE_ENV!r} value for participant {pid!r} at {depth} m ({measure})"
                 )
-            ref = envs[reference_environment]
+            ref = envs[REFERENCE_ENV]
             if not (ref > 0.0):
                 raise DomainError(f"non-positive reference value {ref} ({pid}, {depth} m, {measure})")
             for env in sorted(envs):
-                if env == reference_environment:
+                if env == REFERENCE_ENV:
                     continue
                 val = envs[env]
                 if not (val > 0.0):

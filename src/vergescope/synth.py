@@ -18,7 +18,7 @@ sessions into one ``SimulatedDataset`` held in memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -69,6 +69,8 @@ class ExperimentDesign:
     post_response_dwell_s: float = 0.5
 
     def __post_init__(self):
+        if not all(isinstance(v, (list, tuple)) for v in (self.depths_m, self.environments, self.iti_range_s)):
+            raise DomainError("depths_m, environments and iti_range_s must be lists, not a string or a number")
         if len(set(self.depths_m)) != len(self.depths_m) or any(d <= 0 for d in self.depths_m):
             raise DomainError("depths must be positive and distinct")
         if len(self.depths_m) < 2:
@@ -79,6 +81,13 @@ class ExperimentDesign:
             raise DomainError("repetitions and participants must be integers >= 1")
         if not (self.sample_rate_hz > 0 and math.isfinite(self.sample_rate_hz)):
             raise DomainError(f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}")
+        if not (self.response_window_s > 0 and math.isfinite(self.response_window_s)):
+            raise DomainError(f"response_window_s must be positive and finite, got {self.response_window_s}")
+        if not (self.post_response_dwell_s >= 0 and math.isfinite(self.post_response_dwell_s)):
+            raise DomainError(f"post_response_dwell_s must be >= 0 and finite, got {self.post_response_dwell_s}")
+        iti = self.iti_range_s
+        if not (len(iti) == 2 and all(0 <= v < math.inf for v in iti) and iti[0] <= iti[1]):
+            raise DomainError(f"iti_range_s must be two finite numbers with 0 <= low <= high, got {iti!r}")
 
     @property
     def depth_pairs(self) -> tuple[tuple[float, float], ...]:
@@ -100,34 +109,12 @@ class ExperimentDesign:
         return len(self.depth_pairs) * self.repetitions
 
     def to_dict(self) -> dict:
-        return {
-            "depths_m": list(self.depths_m),
-            "environments": list(self.environments),
-            "repetitions": self.repetitions,
-            "n_participants": self.n_participants,
-            "sample_rate_hz": self.sample_rate_hz,
-            "response_window_s": self.response_window_s,
-            "iti_range_s": list(self.iti_range_s),
-            "post_response_dwell_s": self.post_response_dwell_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentDesign":
-        kwargs = {}
-        for key in (
-            "depths_m",
-            "environments",
-            "repetitions",
-            "n_participants",
-            "sample_rate_hz",
-            "response_window_s",
-            "iti_range_s",
-            "post_response_dwell_s",
-        ):
-            if key in d:
-                v = d[key]
-                kwargs[key] = tuple(v) if isinstance(v, (list, tuple)) else v
-        return cls(**kwargs)
+        """The design from a JSON object's fields (lists become tuples); an unknown key raises TypeError."""
+        return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -210,13 +197,12 @@ def implied_response_line(
     return float(a), float(b)
 
 
-def solve_effective_ipd(
-    slope_deg_per_d: float, diopters: Sequence[float], tol: float = 1e-12
-) -> float:
+def solve_effective_ipd(slope_deg_per_d: float, diopters: Sequence[float]) -> float:
     """Binocular baseline whose ideal-vergence line has the given diopter slope.
 
     The vergence-vs-diopter relation is almost exactly proportional to the
-    baseline, so a few fixed-point iterations reach machine precision.
+    baseline, so a few fixed-point iterations reach machine precision (a
+    relative step below 1e-12).
     """
     if slope_deg_per_d <= 0.0:
         raise DomainError(f"slope must be positive, got {slope_deg_per_d}")
@@ -225,7 +211,7 @@ def solve_effective_ipd(
         _, b = implied_response_line([ideal_vergence(1.0 / d, ipd) for d in diopters], diopters)
         ratio = slope_deg_per_d / b
         ipd *= ratio
-        if abs(ratio - 1.0) < tol:
+        if abs(ratio - 1.0) < 1e-12:
             break
     return ipd
 

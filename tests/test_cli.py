@@ -285,6 +285,18 @@ MALFORMED_CLI = {
         ["--seed", "-1", "--out", "OUT"], None),
     "simulate_design_zero_sample_rate": ("simulate", {"--design": json.dumps({"design": {"sample_rate_hz": 0}})},
                                          ["--seed", "-1", "--out", "OUT"], None),
+    # A misspelt design key is refused, not ignored in favour of the default cohort.
+    "simulate_design_unknown_design_key": ("simulate", {"--design": json.dumps(
+        {"design": {"n_participant": 1, "repetitions": 1}})}, ["--seed", "-1", "--out", "OUT"], None),
+    # A string is not a list of environments, even one of distinct letters.
+    "simulate_design_environments_string": ("simulate", {"--design": json.dumps({"design": {"environments": "Real"}})},
+                                            ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_negative_response_window": ("simulate", {"--design": json.dumps(
+        {"design": {"response_window_s": -1}})}, ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_iti_reversed": ("simulate", {"--design": json.dumps({"design": {"iti_range_s": [6, 3]}})},
+                                     ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_negative_dwell": ("simulate", {"--design": json.dumps({"design": {"post_response_dwell_s": -0.5}})},
+                                       ["--seed", "-1", "--out", "OUT"], None),
     # Command lines the argument grammar rejects.
     "preprocess_usage_threads": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))}, ["--threads", "2"], None),
     "estimate_usage_unknown_flag": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--bogus"], ""),
@@ -433,6 +445,32 @@ class TestSessionStreaming:
         for name in ("gva_table.csv", "validity_report.json"):
             assert (tmp_path / "cli" / name).read_bytes() == (expected / name).read_bytes(), name
         assert len(processed) == 2 * 3 * 12
+
+    def test_trial_scope_tests_each_trial_against_its_own_samples(self, streamed_dataset, tmp_path):
+        from vergescope.pipeline import (
+            PipelineConfig, confidence_filter, outlier_filter, preprocess_sessions, velocity_filter,
+        )
+
+        reports = {}
+        for scope in ("session", "trial"):
+            out = tmp_path / scope
+            assert main(["preprocess", "--in", str(streamed_dataset), "--out", str(out), "--sd-scope", scope]) == 0
+            reports[scope] = json.loads((out / "validity_report.json").read_text())["samples"]
+        sessions = list(dataio.iter_dataset_sessions(str(streamed_dataset)))
+        processed, _ = preprocess_sessions(sessions, PipelineConfig(outlier_scope="trial"))
+        dataio.write_gva_table_csv(str(tmp_path / "expected.csv"), processed)
+        assert (tmp_path / "trial" / "gva_table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        trials = {(t.participant_id, t.environment, t.trial_id): t for session in sessions for t in session}
+        total = 0
+        for p in processed:
+            oracle = outlier_filter(velocity_filter(confidence_filter(trials[p.participant_id, p.environment, p.trial_id])))
+            outliers = oracle.samples.status_counts()["outlier"]
+            assert p.sample_counts["outlier"] == outliers, p.trial_id
+            total += outliers
+        assert len(processed) == 2 * 3 * 12 and total > 0
+        assert reports["trial"]["by_status"]["outlier"] == total
+        # Each trial's own mean and SD exclude more samples than the session's do.
+        assert reports["trial"]["percent_excluded"] > reports["session"]["percent_excluded"]
 
     def test_sessions_arrive_one_at_a_time_in_key_order(self, streamed_dataset, tmp_path):
         data = _copy_dataset(streamed_dataset, tmp_path / "data")

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -62,11 +63,28 @@ class TestDesign:
             {"sample_rate_hz": 0},
             {"sample_rate_hz": math.inf},
             {"sample_rate_hz": math.nan},
+            {"depths_m": 4.0},
+            {"environments": "Real"},
+            {"response_window_s": 0.0},
+            {"response_window_s": math.inf},
+            {"post_response_dwell_s": -0.5},
+            {"post_response_dwell_s": math.nan},
+            {"iti_range_s": (6.0, 3.0)},
+            {"iti_range_s": (-1.0, 3.0)},
+            {"iti_range_s": (3.0, math.inf)},
+            {"iti_range_s": (3.0,)},
+            {"iti_range_s": 3.0},
         ],
     )
     def test_rejects_designs_the_simulator_cannot_run(self, kwargs):
         with pytest.raises(DomainError):
             ExperimentDesign(**kwargs)
+
+    def test_dict_round_trip_and_unknown_key(self):
+        design = ExperimentDesign(depths_m=(0.5, 2.0), iti_range_s=(0.0, 0.0), post_response_dwell_s=0.0)
+        assert ExperimentDesign.from_dict(json.loads(json.dumps(design.to_dict()))) == design
+        with pytest.raises(TypeError):
+            ExperimentDesign.from_dict({"n_participant": 1})
 
     @pytest.mark.parametrize("value", [-1, 1.5, "x", False])
     def test_rejects_a_bad_subjective_repetition_count(self, value):
