@@ -20,7 +20,7 @@ from . import dataio
 from .analysis import condition_means, run_analysis
 from .calibration import DepthStream, fit_participants
 from .errors import DomainError, GazeParseError, UsageError, VergescopeError
-from .pipeline import PipelineConfig, preprocess_sessions
+from .pipeline import PipelineConfig
 from .report import render_analysis
 from .synth import CohortConfig, ExperimentDesign
 
@@ -68,7 +68,7 @@ def _cmd_preprocess(args) -> int:
         outlier_k_sd=args.sd_k,
         outlier_scope=args.sd_scope,
     )
-    processed, validity = preprocess_sessions(dataio.iter_dataset_sessions(args.indir), config)
+    processed, validity = dataio.preprocess_dir(args.indir, config)
     outdir = args.out or args.indir
     os.makedirs(outdir, exist_ok=True)
     table_path = os.path.join(outdir, "gva_table.csv")

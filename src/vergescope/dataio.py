@@ -35,15 +35,18 @@ temporary file beside its path and renames it into place only when the text
 is complete; a value that cannot be serialized raises ``TypeError``, and any
 file already at the path is left as it was.
 
-``write_dataset`` writes a simulated cohort one (participant, environment)
-session at a time as ``synth.simulate_sessions`` makes them: ``config.json``
-first, then each session's gaze files and manifest, then ``subjective.csv``
-and last ``ledger.json``, so a dataset with a ledger is complete. It holds
-one session's samples at a time, plus the compact artifact tags and the
-per-trial truth of every session for the ledger.
-``iter_dataset_sessions`` yields a dataset's trials one session at a time,
-parsing a session's gaze files only when it is requested, so ``preprocess``
-holds one session's samples at a time.
+``write_dataset`` and ``preprocess_dir`` (``simulate`` and ``preprocess``)
+run one (participant, environment) session per task of ``_map_sessions``:
+in forked worker processes, ``min(sessions, len(os.sched_getaffinity(0)))``
+of them, or in this process when that is below two, with no flag or setting
+to choose. Each process holds one session's samples at a time, and the bytes
+written are the same either way. A ``write_dataset`` task simulates a session
+and writes its gaze files and manifest, and hands back only its artifact
+tags, truth and reports, from which the parent writes ``subjective.csv`` and
+last ``ledger.json``, so a dataset with a ledger is complete. A
+``preprocess_dir`` task parses one session's gaze files and hands back its
+cleaned rows. A failure raises the error of the first failing session in
+sorted order and leaves no worker process behind.
 """
 
 from __future__ import annotations
@@ -62,14 +65,15 @@ import numpy as np
 
 from .calibration import ParticipantModel
 from .errors import GazeParseError
-from .pipeline import ProcessedTrial
+from .pipeline import PipelineConfig, ProcessedTrial, ValidityReport, collect_processed, process_session
 from .recording import GazeSeries, TrialRecord, depths_in_set
 from .synth import (
     CohortConfig,
     ExperimentDesign,
+    SimulatedSession,
     SubjectiveReport,
     build_ledger,
-    simulate_sessions,
+    simulate_session,
 )
 
 __all__ = [
@@ -88,7 +92,7 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_dataset",
-    "iter_dataset_sessions",
+    "preprocess_dir",
 ]
 
 GAZE_CSV_HEADER = [
@@ -599,38 +603,82 @@ def load_models_json(path: str) -> dict[str, ParticipantModel]:
     return out
 
 
-def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, seed: int) -> int:
-    """Simulate a cohort and write it one session at a time; returns the number of trials written.
+def _map_sessions(fn, tasks: Sequence) -> list:
+    """``list(map(fn, tasks))``, computed in forked worker processes, each taking one task at a time.
 
-    ``config.json`` is written first. Each session of
-    ``synth.simulate_sessions(design, config, seed)`` has its gaze files and
-    manifest written as soon as it is simulated, and its samples are dropped
-    before the next one. ``subjective.csv`` and ``ledger.json`` come last,
-    the ledger's artifact entries made one by one as they are written. A
-    failure part way leaves the sessions written so far and no
-    ``ledger.json``.
+    The workers number ``min(len(tasks), len(os.sched_getaffinity(0)))``;
+    below two, ``fn`` runs here, task by task. The workers are forked, so
+    they start with this process's modules and need no import; ``fn`` and
+    each task are pickled going in and each result coming back. Results
+    are read in task order, so a failure raises the error of the first
+    failing task in that order, after the queued tasks are cancelled and
+    the running ones finished. The pool lives for this call only, and no
+    worker is left when it returns or raises.
+    """
+    # Without sched_getaffinity (macOS, Windows) there is no fork pool here.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), cpus)
+    if workers < 2:
+        return list(map(fn, tasks))
+    import concurrent.futures
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(fn, task) for task in tasks]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def _write_session(task) -> tuple[SimulatedSession, int]:
+    """Simulate one session and write its gaze files and manifest.
+
+    ``task`` is ``(outdir, design, config, seed, p_index, e_index)``. Returns
+    the session without its trials, and how many trials were written.
+    """
+    outdir, design, config, seed, p_index, e_index = task
+    session = simulate_session(design, config, seed, p_index, e_index)
+    pid, env = session.physiology.participant_id, session.environment
+    gaze_dir = os.path.join(outdir, "gaze", f"{pid}_{env}")
+    os.makedirs(gaze_dir, exist_ok=True)
+    rel_files = []
+    for t in session.trials:
+        write_gaze_csv(os.path.join(gaze_dir, f"{t.trial_id}.csv"), t.samples)
+        rel_files.append(os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv"))
+    write_manifest(os.path.join(outdir, "manifests", f"{pid}_{env}.json"), session.trials, rel_files, design.depths_m)
+    n_trials = len(session.trials)
+    session.trials = []
+    return session, n_trials
+
+
+def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, seed: int) -> int:
+    """Simulate a cohort and write it; returns the number of trials written.
+
+    ``config.json`` is written first. Each session is simulated and has its
+    gaze files and manifest written by one task of ``_map_sessions``.
+    ``subjective.csv`` and ``ledger.json`` come last, once every session is
+    written, the ledger's artifact entries made one by one as they are
+    written; a failure part way leaves the sessions written so far and
+    neither of the two.
     """
     os.makedirs(os.path.join(outdir, "manifests"), exist_ok=True)
     write_json(os.path.join(outdir, "config.json"), {"design": design.to_dict(), "seed": seed})
+    tasks = [
+        (outdir, design, config, seed, p_index, e_index)
+        for p_index in range(design.n_participants)
+        for e_index in range(len(design.environments))
+    ]
     physiology, artifacts, truth, subjective = {}, [], {}, []
     n_trials = 0
-    for session in simulate_sessions(design, config, seed):
-        pid, env = session.physiology.participant_id, session.environment
-        gaze_dir = os.path.join(outdir, "gaze", f"{pid}_{env}")
-        os.makedirs(gaze_dir, exist_ok=True)
-        rel_files = []
-        for t in session.trials:
-            write_gaze_csv(os.path.join(gaze_dir, f"{t.trial_id}.csv"), t.samples)
-            rel_files.append(os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv"))
-        write_manifest(
-            os.path.join(outdir, "manifests", f"{pid}_{env}.json"), session.trials, rel_files, design.depths_m
-        )
-        n_trials += len(session.trials)
-        physiology[pid] = session.physiology
+    for session, n in _map_sessions(_write_session, tasks):
+        n_trials += n
+        physiology[session.physiology.participant_id] = session.physiology
         artifacts.extend(session.artifacts)
         truth.update(session.trial_truth)
         subjective.extend(session.subjective)
-        del session  # drop this session's samples before the next session is simulated
     write_subjective_csv(os.path.join(outdir, "subjective.csv"), subjective)
     tags = (tag for trial_artifacts in artifacts for tag in trial_artifacts.tags())
     write_json(
@@ -641,26 +689,37 @@ def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, s
     return n_trials
 
 
-def _manifest_paths(datadir: str) -> list[str]:
+def _dataset_sessions(datadir: str) -> list[list[tuple[str, dict]]]:
+    """The ``(path, manifest)`` pairs under ``datadir/manifests``, grouped by (participant, environment) session.
+
+    Every manifest is read here. The sessions come in sorted order, each
+    holding its manifests in file-name order, so a session split across
+    manifests is pooled as ``pipeline.preprocess_dataset`` pools every
+    manifest's trials taken in file-name order.
+    """
     mandir = os.path.join(datadir, "manifests")
     if not os.path.isdir(mandir):
         raise GazeParseError(f"no manifests directory under {datadir!r}", datadir)
-    return [os.path.join(mandir, name) for name in sorted(os.listdir(mandir)) if name.endswith(".json")]
+    sessions: dict[tuple[str, str], list[tuple[str, dict]]] = {}
+    for name in sorted(os.listdir(mandir)):
+        if name.endswith(".json"):
+            path = os.path.join(mandir, name)
+            doc = load_manifest(path)
+            sessions.setdefault((doc["participant_id"], doc["environment"]), []).append((path, doc))
+    return [sessions[key] for key in sorted(sessions)]
 
 
-def iter_dataset_sessions(datadir: str) -> Iterator[list[TrialRecord]]:
-    """Yield the trials of each (participant, environment) session under ``datadir/manifests``, one session at a time.
+def _process_session_files(manifests: list[tuple[str, dict]], config: PipelineConfig) -> list[ProcessedTrial]:
+    """``pipeline.process_session`` on the trials of one session's manifests, with their gaze files parsed."""
+    return process_session([t for path, doc in manifests for t in _manifest_trials(doc, path)], config)
 
-    Every manifest is read first; the sessions then come in sorted order,
-    each holding the trials of all its manifests in file-name order, so a
-    session split across manifests is pooled as ``pipeline.preprocess_dataset``
-    pools every manifest's trials taken in file-name order. A session's gaze
-    files are parsed only when it is requested, and the generator keeps no
-    reference to the trials it has yielded.
+
+def preprocess_dir(datadir: str, config: PipelineConfig) -> tuple[list[ProcessedTrial], ValidityReport]:
+    """Clean the dataset under ``datadir`` as ``pipeline.preprocess_sessions`` cleans its sessions.
+
+    Each session's gaze files are parsed and cleaned by one worker of
+    ``_map_sessions``, which returns only the session's rows; the rows are
+    then sorted and counted by ``pipeline.collect_processed``.
     """
-    manifests: dict[tuple[str, str], list[tuple[str, dict]]] = {}
-    for path in _manifest_paths(datadir):
-        doc = load_manifest(path)
-        manifests.setdefault((doc["participant_id"], doc["environment"]), []).append((path, doc))
-    for key in sorted(manifests):
-        yield [t for path, doc in manifests.pop(key) for t in _manifest_trials(doc, path)]
+    sessions = _dataset_sessions(datadir)
+    return collect_processed(_map_sessions(functools.partial(_process_session_files, config=config), sessions))

@@ -45,6 +45,7 @@ __all__ = [
     "ProcessedTrial",
     "process_session",
     "preprocess_sessions",
+    "collect_processed",
     "preprocess_dataset",
     "validity_gate",
     "cascade_validity",
@@ -346,14 +347,24 @@ def preprocess_sessions(
 
     Each item of ``sessions`` holds one (participant, environment) session's
     trials. ``process_session`` runs on it as it arrives, and only its
-    ``ProcessedTrial`` rows are kept, so a generator of sessions (such as
-    ``dataio.iter_dataset_sessions``) never has more than one session's
-    samples in memory. The rows are sorted by (participant, environment,
-    trial), a stable sort over the sessions' order.
+    ``ProcessedTrial`` rows are kept, so a generator of sessions never has
+    more than one session's samples in memory. The rows go to
+    ``collect_processed``.
     """
     config = config or PipelineConfig()
     # map drops each session's trials as soon as process_session returns.
-    processed = list(chain.from_iterable(map(partial(process_session, config=config), sessions)))
+    return collect_processed(map(partial(process_session, config=config), sessions))
+
+
+def collect_processed(
+    session_rows: Iterable[Iterable[ProcessedTrial]],
+) -> tuple[list[ProcessedTrial], "ValidityReport"]:
+    """Every session's ``process_session`` rows, sorted by (participant, environment, trial), and their validity report.
+
+    The sort is stable over the sessions' order, so two manifests of one
+    session keep their trials in the order the sessions list them.
+    """
+    processed = list(chain.from_iterable(session_rows))
     processed.sort(key=lambda p: (p.participant_id, p.environment, p.trial_id))
     return processed, cascade_validity(processed)
 

@@ -8,11 +8,13 @@ artifacts (dropouts, velocity spikes, amplitude outliers). Every injected
 effect is recorded in a ledger so the cleaning pipeline can be scored
 exactly.
 
-``simulate_sessions`` generates the cohort one (participant, environment)
-session at a time, each from its own child ``SeedSequence``, and keeps a
-trial's artifact tags in the compact ``TrialArtifacts`` form; ``dataio``
-writes each session as it comes. ``simulate_cohort`` collects the same
-sessions into one ``SimulatedDataset`` held in memory.
+``simulate_session`` generates one (participant, environment) session from
+the cohort seed and the session's indices alone, each session from its own
+child ``SeedSequence``, and keeps a trial's artifact tags in the compact
+``TrialArtifacts`` form; ``dataio`` simulates and writes each session in its
+own task. ``simulate_sessions`` yields the cohort's sessions one at a time,
+and ``simulate_cohort`` collects them into one ``SimulatedDataset`` held in
+memory.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "solve_effective_ipd",
     "generate_sequence",
     "simulate_trial",
+    "simulate_session",
     "simulate_sessions",
     "simulate_cohort",
     "build_ledger",
@@ -53,6 +56,17 @@ __all__ = [
 def _is_count(value) -> bool:
     """Whether ``value`` is an integer (a numpy one too) and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_depth(value) -> bool:
+    """Whether ``value`` is a positive finite number (a numpy one too) and not a bool."""
+    numeric = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return numeric and 0 < value < math.inf
+
+
+def _is_file_name(value) -> bool:
+    """Whether ``value`` can be one path component: a non-empty ``str``, not ``.`` or ``..``, without ``/``, ``\\`` or NUL."""
+    return isinstance(value, str) and value not in ("", ".", "..") and not any(c in value for c in "/\\\0")
 
 
 @dataclass(frozen=True)
@@ -71,10 +85,16 @@ class ExperimentDesign:
     def __post_init__(self):
         if not all(isinstance(v, (list, tuple)) for v in (self.depths_m, self.environments, self.iti_range_s)):
             raise DomainError("depths_m, environments and iti_range_s must be lists, not a string or a number")
-        if len(set(self.depths_m)) != len(self.depths_m) or any(d <= 0 for d in self.depths_m):
-            raise DomainError("depths must be positive and distinct")
+        if not all(map(_is_depth, self.depths_m)) or len(set(self.depths_m)) != len(self.depths_m):
+            raise DomainError(f"depths must be distinct positive finite numbers, got {self.depths_m!r}")
         if len(self.depths_m) < 2:
             raise DomainError("a design needs at least two depths")
+        # An environment name becomes part of the session's file names.
+        if not all(map(_is_file_name, self.environments)):
+            raise DomainError(
+                f"environments must be non-empty strings without '/', '\\' or NUL, and not '.' or '..', "
+                f"got {self.environments!r}"
+            )
         if not self.environments or len(set(self.environments)) != len(self.environments):
             raise DomainError("environments must be distinct and at least one")
         if not all(_is_count(v) and v >= 1 for v in (self.repetitions, self.n_participants)):
@@ -648,21 +668,34 @@ def _participant_subjective(
     return out
 
 
-def _simulate_session(
-    design: ExperimentDesign,
-    config: CohortConfig,
-    phys: PhysiologyParams,
-    env: str,
-    srng: np.random.Generator,
-    subjective: list[SubjectiveReport],
+def simulate_session(
+    design: ExperimentDesign, config: CohortConfig, seed: int, p_index: int, e_index: int
 ) -> SimulatedSession:
+    """Session ``e_index`` of participant ``p_index``, as ``simulate_sessions(design, config, seed)`` yields it.
+
+    The participant's seed is re-derived as
+    ``SeedSequence(seed).spawn(design.n_participants)[p_index]``, and from it
+    the participant's physiology and the session's own generator, so a
+    session is the same whether it is simulated alone or in a cohort, in this
+    process or another.
+    """
+    participant_seq = np.random.SeedSequence(seed).spawn(design.n_participants)[p_index]
+    pid = f"p{p_index + 1:02d}"
+    seqs = participant_seq.spawn(len(design.environments) + 1)
+    prng = np.random.default_rng(seqs[0])
+    phys = _draw_physiology(pid, design, config, prng)
+    # The reports come after the physiology on the participant's generator,
+    # so skipping them leaves the other sessions' draws as they are.
+    subjective = _participant_subjective(pid, design, config, prng) if e_index == 0 else []
+    env = design.environments[e_index]
+    srng = np.random.default_rng(seqs[e_index + 1])
     session = SimulatedSession(phys, env, [], [], {}, subjective)
     sequence = generate_sequence(design, srng)
     onset = 0.0
     offset_deg = config.environment.offset(env)
     for t_index, (start, end) in enumerate(sequence):
         spec = TrialSpec(
-            participant_id=phys.participant_id,
+            participant_id=pid,
             environment=env,
             trial_id=f"t{t_index:03d}",
             start_depth_m=start,
@@ -682,7 +715,7 @@ def _simulate_session(
         )
         session.trials.append(trial)
         session.artifacts.append(artifacts)
-        session.trial_truth[(phys.participant_id, env, spec.trial_id)] = truth
+        session.trial_truth[(pid, env, spec.trial_id)] = truth
         onset += design.trial_duration_s + float(srng.uniform(*design.iti_range_s))
     return session
 
@@ -690,7 +723,7 @@ def _simulate_session(
 def simulate_sessions(
     design: ExperimentDesign, config: CohortConfig, seed: int
 ) -> Iterator[SimulatedSession]:
-    """Simulate the cohort deterministically from ``seed``, one session at a time.
+    """Simulate the cohort deterministically from ``seed``, one ``simulate_session`` at a time.
 
     Sessions come participant by participant, in ``design.environments``
     order within a participant. Each participant gets an independent child
@@ -699,16 +732,9 @@ def simulate_sessions(
     only when it is requested and keeps no reference to the sessions it has
     yielded.
     """
-    root = np.random.SeedSequence(seed)
-    for p_index, participant_seq in enumerate(root.spawn(design.n_participants)):
-        pid = f"p{p_index + 1:02d}"
-        seqs = participant_seq.spawn(len(design.environments) + 1)
-        prng = np.random.default_rng(seqs[0])
-        phys = _draw_physiology(pid, design, config, prng)
-        subjective = _participant_subjective(pid, design, config, prng)
-        for env, seq in zip(design.environments, seqs[1:]):
-            yield _simulate_session(design, config, phys, env, np.random.default_rng(seq), subjective)
-            subjective = []
+    for p_index in range(design.n_participants):
+        for e_index in range(len(design.environments)):
+            yield simulate_session(design, config, seed, p_index, e_index)
 
 
 def simulate_cohort(

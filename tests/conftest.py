@@ -6,11 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from vergescope import dataio
 from vergescope.recording import GazeSeries, TrialRecord
 
 # Selected with --hypothesis-profile ci: no per-example deadline, so a slow
 # runner cannot fail a property on time, and no example database to replay.
 settings.register_profile("ci", deadline=None, database=None)
+
+
+def force_cpus(monkeypatch, n: int) -> None:
+    """Make ``os.sched_getaffinity`` report ``n`` CPUs, so ``dataio``'s session map runs ``min(tasks, n)`` workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def load_dataset_sessions(datadir) -> list[list[TrialRecord]]:
+    """Each session's trials under ``datadir``, grouped as ``preprocess`` groups them, with the gaze files parsed."""
+    return [
+        [t for path, doc in manifests for t in dataio._manifest_trials(doc, path)]
+        for manifests in dataio._dataset_sessions(str(datadir))
+    ]
 
 
 def run_cli(*argv, input_text=None, env=None):

@@ -1,10 +1,11 @@
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from conftest import run_cli, trial_from_gva
+from conftest import force_cpus, load_dataset_sessions, run_cli, trial_from_gva
 from vergescope import dataio
 from vergescope.cli import main
 from vergescope.recording import GazeSeries
@@ -297,6 +298,15 @@ MALFORMED_CLI = {
                                      ["--seed", "-1", "--out", "OUT"], None),
     "simulate_design_negative_dwell": ("simulate", {"--design": json.dumps({"design": {"post_response_dwell_s": -0.5}})},
                                        ["--seed", "-1", "--out", "OUT"], None),
+    # An environment name becomes a path component, and a depth is a finite number.
+    "simulate_design_environment_path": ("simulate", {"--design": json.dumps(
+        {"design": {"environments": ["Real", "a/b"]}})}, ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_environment_number": ("simulate", {"--design": json.dumps({"design": {"environments": [1, 2]}})},
+                                           ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_bool_depth": ("simulate", {"--design": json.dumps({"design": {"depths_m": [True, 2]}})},
+                                   ["--seed", "-1", "--out", "OUT"], None),
+    "simulate_design_nan_depth": ("simulate", {"--design": json.dumps({"design": {"depths_m": [float("nan"), 2]}})},
+                                  ["--seed", "-1", "--out", "OUT"], None),
     # Command lines the argument grammar rejects.
     "preprocess_usage_threads": ("preprocess", {"--in": ("dataset", _gaze_rows(GAZE_ROW))}, ["--threads", "2"], None),
     "estimate_usage_unknown_flag": ("estimate", {"--model": json.dumps(GOOD_MODELS)}, ["--bogus"], ""),
@@ -431,7 +441,17 @@ class TestSessionStreaming:
     """``preprocess`` cleans one session at a time, with the bytes of ``preprocess_dataset`` on the whole dataset."""
 
     @pytest.mark.parametrize("rearrange", [_rename_out_of_order, _split_a_session])
-    def test_same_bytes_as_preprocess_dataset(self, streamed_dataset, tmp_path, rearrange):
+    def test_same_bytes_as_preprocess_dataset(self, streamed_dataset, tmp_path, monkeypatch, rearrange):
+        force_cpus(monkeypatch, 1)
+        self.check_same_bytes(streamed_dataset, tmp_path, rearrange)
+
+    @pytest.mark.parametrize("rearrange", [_rename_out_of_order, _split_a_session])
+    def test_same_bytes_under_the_pool(self, streamed_dataset, tmp_path, monkeypatch, rearrange):
+        force_cpus(monkeypatch, 2)
+        self.check_same_bytes(streamed_dataset, tmp_path, rearrange)
+
+    @staticmethod
+    def check_same_bytes(streamed_dataset, tmp_path, rearrange):
         from vergescope.pipeline import preprocess_dataset
 
         data = _copy_dataset(streamed_dataset, tmp_path / "data")
@@ -456,7 +476,7 @@ class TestSessionStreaming:
             out = tmp_path / scope
             assert main(["preprocess", "--in", str(streamed_dataset), "--out", str(out), "--sd-scope", scope]) == 0
             reports[scope] = json.loads((out / "validity_report.json").read_text())["samples"]
-        sessions = list(dataio.iter_dataset_sessions(str(streamed_dataset)))
+        sessions = load_dataset_sessions(streamed_dataset)
         processed, _ = preprocess_sessions(sessions, PipelineConfig(outlier_scope="trial"))
         dataio.write_gva_table_csv(str(tmp_path / "expected.csv"), processed)
         assert (tmp_path / "trial" / "gva_table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
@@ -475,7 +495,7 @@ class TestSessionStreaming:
     def test_sessions_arrive_one_at_a_time_in_key_order(self, streamed_dataset, tmp_path):
         data = _copy_dataset(streamed_dataset, tmp_path / "data")
         _split_a_session(data)
-        sessions = list(dataio.iter_dataset_sessions(str(data)))
+        sessions = load_dataset_sessions(data)
         keys = [{(t.participant_id, t.environment) for t in s} for s in sessions]
         assert keys == [{(p, e)} for p in ("p01", "p02") for e in ("AR", "Real", "VR")]
         real = [t.trial_id for t in sessions[1]]
@@ -483,10 +503,7 @@ class TestSessionStreaming:
 
     def test_malformed_gaze_file_in_a_later_session(self, streamed_dataset, tmp_path, capsys):
         data = _copy_dataset(streamed_dataset, tmp_path / "data")
-        gaze = data / "gaze" / "p02_VR" / "t011.csv"
-        lines = gaze.read_bytes().split(b"\r\n")
-        lines[5] = b"0.1,x" + lines[5]
-        gaze.write_bytes(b"\r\n".join(lines))
+        _add_a_field(data / "gaze" / "p02_VR" / "t011.csv")
         capsys.readouterr()
         assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 2
         err = capsys.readouterr().err
@@ -496,3 +513,63 @@ class TestSessionStreaming:
         # A gaze path is joined to its manifest's directory and not normalised.
         named = os.path.join(data, "manifests", "..", "gaze", "p02_VR", "t011.csv")
         assert doc["message"] == f"expected 15 fields, got 16 [{named}:6]"
+
+    def test_the_first_fault_in_session_order_is_reported_under_the_pool(
+        self, streamed_dataset, tmp_path, monkeypatch, capsys
+    ):
+        force_cpus(monkeypatch, 2)
+        data = _copy_dataset(streamed_dataset, tmp_path / "data")
+        # The second session's worker meets its fault first, in its first file;
+        # the first session's fault is in its last file.
+        _add_a_field(data / "gaze" / "p01_AR" / "t011.csv")
+        _add_a_field(data / "gaze" / "p01_Real" / "t000.csv")
+        capsys.readouterr()
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 2
+        doc = json.loads(capsys.readouterr().err)["error"]
+        named = os.path.join(data, "manifests", "..", "gaze", "p01_AR", "t011.csv")
+        assert doc == {"type": "GazeParseError", "message": f"expected 15 fields, got 16 [{named}:6]"}
+        assert multiprocessing.active_children() == []
+
+
+def _add_a_field(gaze):
+    """Give line 6 of a gaze CSV a 16th field."""
+    lines = gaze.read_bytes().split(b"\r\n")
+    lines[5] = b"0.1,x" + lines[5]
+    gaze.write_bytes(b"\r\n".join(lines))
+
+
+class TestWorkerProcesses:
+    """``simulate`` and ``preprocess`` leave no worker process behind, whether they succeed or fail."""
+
+    def test_no_worker_outlives_a_subcommand(self, tmp_path, monkeypatch, capsys):
+        force_cpus(monkeypatch, 2)
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps({"design": {"n_participants": 1, "repetitions": 1}}))
+        data = tmp_path / "data"
+        assert main(["simulate", "--design", str(design_path), "--seed", "3", "--out", str(data)]) == 0
+        assert multiprocessing.active_children() == []
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 0
+        assert multiprocessing.active_children() == []
+        # A file where the gaze directory goes fails every worker of simulate.
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "gaze").write_text("")
+        assert main(["simulate", "--design", str(design_path), "--seed", "3", "--out", str(blocked)]) == 2
+        assert multiprocessing.active_children() == []
+        _add_a_field(data / "gaze" / "p01_VR" / "t000.csv")
+        assert main(["preprocess", "--in", str(data), "--out", str(tmp_path / "work")]) == 2
+        assert multiprocessing.active_children() == []
+        errors = [json.loads(line)["error"]["type"] for line in capsys.readouterr().err.splitlines()]
+        assert errors == ["NotADirectoryError", "GazeParseError"]
+
+    @pytest.mark.parametrize("name", [
+        "simulate_design_environment_path", "simulate_design_environment_number",
+        "simulate_design_bool_depth", "simulate_design_nan_depth",
+    ])
+    def test_a_refused_design_writes_nothing(self, tmp_path, capsys, name):
+        design_path = tmp_path / "design.json"
+        design_path.write_text(MALFORMED_CLI[name][1]["--design"])
+        out = tmp_path / "out"
+        assert main(["simulate", "--design", str(design_path), "--seed", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "GazeParseError"

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import math
+import multiprocessing
 import os
 import weakref
 from dataclasses import dataclass, fields, replace
@@ -11,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import series_from_gva
+from conftest import force_cpus, load_dataset_sessions, series_from_gva
 from vergescope import dataio, synth
 from vergescope.analysis import ConditionCell
 from vergescope.calibration import ParticipantModel
 from vergescope.errors import DomainError, GazeParseError
-from vergescope.pipeline import ProcessedTrial
+from vergescope.pipeline import PipelineConfig, ProcessedTrial
 from vergescope.recording import GazeSeries, SampleStatus, TrialRecord
 from vergescope.synth import CohortConfig, ExperimentDesign, NoiseModel, simulate_cohort
 
@@ -265,7 +266,7 @@ class TestDatasetRoundtrip:
         assert dataio.write_dataset(str(out), design, ds.config, 5) == len(ds.trials)
         assert (out / "ledger.json").exists()
         assert (out / "config.json").exists()
-        trials = [t for session in dataio.iter_dataset_sessions(str(out)) for t in session]
+        trials = [t for session in load_dataset_sessions(out) for t in session]
         assert len(trials) == len(ds.trials)
         original = {(t.participant_id, t.environment, t.trial_id): t for t in ds.trials}
         for t in trials:
@@ -339,6 +340,8 @@ class TestWriteDataset:
             assert b'"landolt_response": "timeout"' in expected["manifests/p01_Real.json"]
 
     def test_a_written_session_is_released(self, tmp_path, monkeypatch):
+        # One CPU: the sessions are written in this process, where the watcher sees them.
+        force_cpus(monkeypatch, 1)
         design = ExperimentDesign(n_participants=2, repetitions=1)
         written: dict[str, list] = {}
         checked = []
@@ -358,19 +361,67 @@ class TestWriteDataset:
         dataio.write_dataset(str(tmp_path / "data"), design, CohortConfig(), 3)
         assert len(checked) == 6
 
+    @staticmethod
+    def fail_the_second_session(monkeypatch):
+        def failing(design, config, seed, p_index, e_index):
+            if (p_index, e_index) == (0, 1):
+                raise RuntimeError("session 2 failed")
+            return synth.simulate_session(design, config, seed, p_index, e_index)
+
+        # The workers are forked, so they see the patched module too.
+        monkeypatch.setattr(dataio, "simulate_session", failing)
+
     def test_a_failure_part_way_leaves_no_ledger(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 1)
+        self.fail_the_second_session(monkeypatch)
         design = ExperimentDesign(n_participants=2, repetitions=1)
-
-        def failing(*args):
-            yield next(synth.simulate_sessions(*args))
-            raise RuntimeError("session 2 failed")
-
-        monkeypatch.setattr(dataio, "simulate_sessions", failing)
         out = tmp_path / "data"
         with pytest.raises(RuntimeError, match="session 2"):
             dataio.write_dataset(str(out), design, CohortConfig(), 3)
         assert sorted(p.name for p in out.iterdir()) == ["config.json", "gaze", "manifests"]
         assert [p.name for p in (out / "manifests").iterdir()] == ["p01_Real.json"]
+
+    def test_a_failing_worker_leaves_no_ledger(self, tmp_path, monkeypatch):
+        force_cpus(monkeypatch, 2)
+        self.fail_the_second_session(monkeypatch)
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        out = tmp_path / "data"
+        with pytest.raises(RuntimeError, match="session 2"):
+            dataio.write_dataset(str(out), design, CohortConfig(), 3)
+        # Other sessions may be written or cancelled; the dataset is never finished.
+        names = {p.name for p in out.iterdir()}
+        assert {"config.json", "manifests"} <= names and not names & {"ledger.json", "subjective.csv"}
+        assert "p01_AR.json" not in {p.name for p in (out / "manifests").iterdir()}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_the_pool_writes_and_preprocesses_the_same_bytes(self, tmp_path, monkeypatch, seed):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        pids_path = tmp_path / "pids"
+        real = dataio.write_manifest
+
+        def recorded(path, *args):
+            with open(pids_path, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(path, *args)
+
+        monkeypatch.setattr(dataio, "write_manifest", recorded)
+        trees, writers = {}, {}
+        for cpus in (1, 2):
+            force_cpus(monkeypatch, cpus)
+            pids_path.write_text("")
+            out = tmp_path / f"cpus{cpus}"
+            assert dataio.write_dataset(str(out), design, CohortConfig(), seed) == 72
+            processed, validity = dataio.preprocess_dir(str(out), PipelineConfig())
+            dataio.write_gva_table_csv(str(out / "gva_table.csv"), processed)
+            dataio.write_json(str(out / "validity_report.json"), validity.to_dict())
+            trees[cpus] = tree_bytes(out)
+            writers[cpus] = set(pids_path.read_text().split())
+            assert multiprocessing.active_children() == []
+        assert writers[1] == {str(os.getpid())}
+        assert writers[2] and str(os.getpid()) not in writers[2]
+        assert len(trees[1]) == 3 + 6 + 72 + 2
+        assert trees[2] == trees[1]
 
 
 @dataclass(frozen=True)
