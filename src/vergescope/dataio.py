@@ -28,12 +28,13 @@ made in one pass over the object, with no converted copy: a container whose
 values are all scalars is encoded in one call to a ``json.JSONEncoder`` kept
 per nesting level, whose item separator carries that level's indent, and
 every other piece is written as it is made.
-An iterator stands for a list and is written item by item as it is
-consumed, so a list too large to hold, such as the ledger's artifact
-entries, need never be built. ``write_json`` sends those pieces to a
-temporary file beside its path and renames it into place only when the text
-is complete; a value that cannot be serialized raises ``TypeError``, and any
-file already at the path is left as it was.
+The ledger's artifact list, a ``synth.LedgerArtifacts``, is written as the
+list of five-key dicts it iterates as, one trial at a time from a template:
+the trial's ids are encoded once, and each tag is its kind's head, its time
+and the trial's tail, so no tag's dict is built. ``write_json`` sends those
+pieces to a temporary file beside its path and renames it into place only
+when the text is complete; a value that cannot be serialized raises
+``TypeError``, and any file already at the path is left as it was.
 
 ``write_dataset`` and ``preprocess_dir`` (``simulate`` and ``preprocess``)
 run one (participant, environment) session per task of ``_map_sessions``:
@@ -41,12 +42,13 @@ in forked worker processes, ``min(sessions, len(os.sched_getaffinity(0)))``
 of them, or in this process when that is below two, with no flag or setting
 to choose. Each process holds one session's samples at a time, and the bytes
 written are the same either way. A ``write_dataset`` task simulates a session
-and writes its gaze files and manifest, and hands back only its artifact
-tags, truth and reports, from which the parent writes ``subjective.csv`` and
-last ``ledger.json``, so a dataset with a ledger is complete. A
-``preprocess_dir`` task parses one session's gaze files and hands back its
-cleaned rows. A failure raises the error of the first failing session in
-sorted order and leaves no worker process behind.
+and writes its gaze files and manifest, and hands back only its
+``TrialArtifacts``, truth and reports, from which the parent writes
+``subjective.csv`` and last ``ledger.json``, so a dataset with a ledger is
+complete. A ``preprocess_dir`` task parses one session's gaze files and
+hands back its cleaned rows. A failure raises the error of the first failing
+session in sorted order, or ``ChildProcessError`` when a worker dies, and
+leaves no worker process behind.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -68,8 +70,10 @@ from .errors import GazeParseError
 from .pipeline import PipelineConfig, ProcessedTrial, ValidityReport, collect_processed, process_session
 from .recording import GazeSeries, TrialRecord, depths_in_set
 from .synth import (
+    ARTIFACT_KINDS,
     CohortConfig,
     ExperimentDesign,
+    LedgerArtifacts,
     SimulatedSession,
     SubjectiveReport,
     build_ledger,
@@ -134,8 +138,8 @@ def _jsonable(obj, quantize: bool):
 
 
 # Values of these types are encoded as they are, by one encoder call per
-# container; a value of any other type (a container, an iterator, or one JSON
-# cannot hold) is written on its own.
+# container; a value of any other type (a container, or one JSON cannot hold)
+# is written on its own.
 _SCALARS = (str, int, float, type(None), np.generic)
 
 
@@ -146,34 +150,31 @@ def _level_encoder(level: int) -> json.JSONEncoder:
 
 
 def _write_canonical(write, obj, quantize: bool, level: int = 0) -> None:
-    """Write ``obj`` at nesting ``level`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, piece by piece.
-
-    An iterator is written as the list of its items, one item at a time.
-    """
+    """Write ``obj`` at nesting ``level`` as ``json.dumps(..., sort_keys=True, indent=2)`` lays it out, piece by piece."""
+    if isinstance(obj, LedgerArtifacts):
+        _write_artifact_entries(write, obj, quantize, level)
+        return
     encode = _level_encoder(level).encode
     if isinstance(obj, dict):
         obj = {str(k): v for k, v in obj.items()}
         values, opening, closing = obj.values(), "{", "}"
-    elif isinstance(obj, (list, tuple, Iterator)):
+    elif isinstance(obj, (list, tuple)):
         values, opening, closing = obj, "[", "]"
     else:
         write(encode(_jsonable(obj, quantize)))
         return
+    if not obj:
+        write(opening + closing)
+        return
     inner = "\n" + "  " * (level + 1)
     outer = "\n" + "  " * level
-    # An iterator's length and item types are unknown until it is read, so
-    # it always takes the item-by-item path below.
-    if isinstance(obj, (dict, list, tuple)):
-        if not obj:
-            write(opening + closing)
-            return
-        if all(isinstance(v, _SCALARS) for v in values):
-            if opening == "{":
-                flat = {k: _jsonable(v, quantize) for k, v in obj.items()}
-            else:
-                flat = [_jsonable(v, quantize) for v in obj]
-            write(opening + inner + encode(flat)[1:-1] + outer + closing)
-            return
+    if all(isinstance(v, _SCALARS) for v in values):
+        if opening == "{":
+            flat = {k: _jsonable(v, quantize) for k, v in obj.items()}
+        else:
+            flat = [_jsonable(v, quantize) for v in obj]
+        write(opening + inner + encode(flat)[1:-1] + outer + closing)
+        return
     if opening == "{":
         items = ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
     else:
@@ -183,10 +184,38 @@ def _write_canonical(write, obj, quantize: bool, level: int = 0) -> None:
         write(separator + prefix)
         separator = "," + inner
         _write_canonical(write, value, quantize, level + 1)
-    if separator == opening + inner:  # an empty iterator
-        write(opening + closing)
-    else:
-        write(outer + closing)
+    write(outer + closing)
+
+
+def _write_artifact_entries(write, entries: LedgerArtifacts, quantize: bool, level: int) -> None:
+    """Write ``list(entries)`` at nesting ``level`` as ``_write_canonical`` would, one piece per trial.
+
+    An entry's five keys are fixed and already sorted, so a tag's text is
+    the head of its kind, its time as the encoder writes
+    ``_jsonable(t, quantize)``, and the tail of its trial. The ids are
+    encoded once per trial with ``encode_basestring_ascii``, as the encoder
+    encodes strings.
+    """
+    inner = "\n" + "  " * (level + 1)
+    field = "\n" + "  " * (level + 2)
+    separator = "[" + inner
+    for trial in entries.trials:
+        if not trial.t_s.size:
+            continue
+        pid, env, tid = map(encode_basestring_ascii, (trial.participant_id, trial.environment, trial.trial_id))
+        heads = [
+            f'{{{field}"environment": {env},{field}"kind": "{kind}",{field}"participant_id": {pid},{field}"t_s": '
+            for kind in ARTIFACT_KINDS
+        ]
+        tail = f',{field}"trial_id": {tid}{inner}}}'
+        times = trial.t_s.tolist()
+        if quantize or not np.isfinite(trial.t_s).all():
+            times = [_jsonable(t, quantize) for t in times]
+        texts = ["null" if t is None else float.__repr__(t) for t in times]
+        kinds = chain.from_iterable(map(repeat, heads, trial.counts))
+        write(separator + ("," + inner).join([head + text + tail for head, text in zip(kinds, texts)]))
+        separator = "," + inner
+    write("[]" if separator == "[" + inner else "\n" + "  " * level + "]")
 
 
 def canonical_json(obj, precise: bool = False) -> str:
@@ -194,10 +223,11 @@ def canonical_json(obj, precise: bool = False) -> str:
 
     The text is ``json.dumps(obj, sort_keys=True, indent=2,
     allow_nan=False)`` plus a newline, after every dict key is made a
-    ``str``, every tuple or iterator a list, every numpy scalar a Python one
-    and every non-finite float ``None``. ``precise`` keeps full float
-    precision, for data files (manifests, the ground-truth ledger) whose
-    values must round-trip exactly. A value JSON cannot hold raises ``TypeError``.
+    ``str``, every tuple a list, every ``synth.LedgerArtifacts`` the list
+    of its dicts, every numpy scalar a Python one and every non-finite float
+    ``None``. ``precise`` keeps full float precision, for data files
+    (manifests, the ground-truth ledger) whose values must round-trip
+    exactly. A value JSON cannot hold raises ``TypeError``.
     """
     buffer = io.StringIO()
     _write_canonical(buffer.write, obj, not precise)
@@ -612,15 +642,17 @@ def _map_sessions(fn, tasks: Sequence) -> list:
     each task are pickled going in and each result coming back. Results
     are read in task order, so a failure raises the error of the first
     failing task in that order, after the queued tasks are cancelled and
-    the running ones finished. The pool lives for this call only, and no
-    worker is left when it returns or raises.
+    the running ones finished. A worker that dies (a signal, the OOM killer)
+    raises ``ChildProcessError`` naming the sessions left unfinished. The
+    pool lives for this call only, and no worker is left when it returns or
+    raises.
     """
     # Without sched_getaffinity (macOS, Windows) there is no fork pool here.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(tasks), cpus)
     if workers < 2:
         return list(map(fn, tasks))
-    import concurrent.futures
+    import concurrent.futures.process
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -628,6 +660,11 @@ def _map_sessions(fn, tasks: Sequence) -> list:
         futures = [pool.submit(fn, task) for task in tasks]
         try:
             return [future.result() for future in futures]
+        except concurrent.futures.process.BrokenProcessPool as exc:
+            lost = [str(i + 1) for i, future in enumerate(futures) if isinstance(future.exception(), type(exc))]
+            raise ChildProcessError(
+                f"a worker process died, so sessions {', '.join(lost)} of {len(tasks)} were not done"
+            ) from exc
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -660,9 +697,9 @@ def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, s
     ``config.json`` is written first. Each session is simulated and has its
     gaze files and manifest written by one task of ``_map_sessions``.
     ``subjective.csv`` and ``ledger.json`` come last, once every session is
-    written, the ledger's artifact entries made one by one as they are
-    written; a failure part way leaves the sessions written so far and
-    neither of the two.
+    written, the ledger's artifact entries written trial by trial from the
+    sessions' ``TrialArtifacts``; a failure part way leaves the sessions
+    written so far and neither of the two.
     """
     os.makedirs(os.path.join(outdir, "manifests"), exist_ok=True)
     write_json(os.path.join(outdir, "config.json"), {"design": design.to_dict(), "seed": seed})
@@ -680,10 +717,9 @@ def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, s
         truth.update(session.trial_truth)
         subjective.extend(session.subjective)
     write_subjective_csv(os.path.join(outdir, "subjective.csv"), subjective)
-    tags = (tag for trial_artifacts in artifacts for tag in trial_artifacts.tags())
     write_json(
         os.path.join(outdir, "ledger.json"),
-        build_ledger(design, config, seed, physiology, tags, truth),
+        build_ledger(design, config, seed, physiology, artifacts, truth),
         precise=True,
     )
     return n_trials

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -354,6 +354,21 @@ class TrialArtifacts:
 
 
 @dataclass(frozen=True)
+class LedgerArtifacts:
+    """The ledger's ``artifacts`` list: every tag of ``trials``, in order, as a five-key dict when iterated.
+
+    ``dataio`` writes it from each trial's ``t_s`` and ``counts``, without
+    building an ``ArtifactTag`` or a dict.
+    """
+
+    trials: Sequence[TrialArtifacts]
+
+    def __iter__(self) -> Iterator[dict]:
+        for trial in self.trials:
+            yield from map(asdict, trial.tags())
+
+
+@dataclass(frozen=True)
 class SubjectiveReport:
     participant_id: str
     environment: str
@@ -563,25 +578,15 @@ def _draw_physiology(
     raise DomainError("could not draw physiology satisfying the positivity floor")
 
 
-def _artifact_entry(tag: ArtifactTag) -> dict:
-    return {
-        "participant_id": tag.participant_id,
-        "environment": tag.environment,
-        "trial_id": tag.trial_id,
-        "t_s": tag.t_s,
-        "kind": tag.kind,
-    }
-
-
 def build_ledger(
     design: ExperimentDesign,
     config: CohortConfig,
     seed: int,
     physiology: Mapping[str, PhysiologyParams],
-    artifacts: Iterable[ArtifactTag],
+    artifacts: Sequence[TrialArtifacts],
     trial_truth: Mapping[tuple[str, str, str], dict],
 ) -> dict:
-    """The ground-truth ledger; its ``artifacts`` entry is an iterator that builds each tag's dict as it is read."""
+    """The ground-truth ledger; its ``artifacts`` entry is a ``LedgerArtifacts`` over the trials' tags, in trial order."""
     participants = {}
     for pid, phys in sorted(physiology.items()):
         a, b = phys.implied_line(design.depths_m)
@@ -597,7 +602,7 @@ def build_ledger(
         "participants": participants,
         "env_offsets_deg": dict(config.environment.offsets_deg),
         "subjective_factors": dict(config.subjective_factors),
-        "artifacts": map(_artifact_entry, artifacts),
+        "artifacts": LedgerArtifacts(artifacts),
         "trials": [
             {
                 "participant_id": pid,
@@ -619,13 +624,18 @@ class SimulatedDataset:
     seed: int
     trials: list[TrialRecord]
     physiology: dict[str, PhysiologyParams]
-    artifacts: list[ArtifactTag]
+    trial_artifacts: list[TrialArtifacts]
     trial_truth: dict[tuple[str, str, str], dict]
     subjective: list[SubjectiveReport]
 
+    @property
+    def artifacts(self) -> list[ArtifactTag]:
+        """Every trial's artifact tags, one ``ArtifactTag`` each, in trial order."""
+        return [tag for a in self.trial_artifacts for tag in a.tags()]
+
     def ledger_dict(self) -> dict:
         ledger = build_ledger(
-            self.design, self.config, self.seed, self.physiology, self.artifacts, self.trial_truth
+            self.design, self.config, self.seed, self.physiology, self.trial_artifacts, self.trial_truth
         )
         ledger["artifacts"] = list(ledger["artifacts"])
         return ledger
@@ -757,7 +767,7 @@ def simulate_cohort(
         seed,
         trials=[t for s in sessions for t in s.trials],
         physiology={s.physiology.participant_id: s.physiology for s in sessions},
-        artifacts=[tag for s in sessions for a in s.artifacts for tag in a.tags()],
+        trial_artifacts=[a for s in sessions for a in s.artifacts],
         trial_truth={key: truth for s in sessions for key, truth in s.trial_truth.items()},
         subjective=[r for s in sessions for r in s.subjective],
     )

@@ -562,6 +562,43 @@ class TestWorkerProcesses:
         errors = [json.loads(line)["error"]["type"] for line in capsys.readouterr().err.splitlines()]
         assert errors == ["NotADirectoryError", "GazeParseError"]
 
+    @pytest.mark.parametrize("command", ["simulate", "preprocess"])
+    def test_a_dead_worker_exits_2_with_one_json_line(self, tmp_path, monkeypatch, capsys, command):
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps({"design": {"n_participants": 1, "repetitions": 1}}))
+        data = tmp_path / "data"
+        if command == "preprocess":
+            assert main(["simulate", "--design", str(design_path), "--seed", "3", "--out", str(data)]) == 0
+        parent = os.getpid()
+        name = "simulate_session" if command == "simulate" else "process_session"
+        real = getattr(dataio, name)
+
+        def dying(*args, **kwargs):
+            # The second session's worker dies as a signal would end it; the
+            # workers are forked, so they see this patched module.
+            second = args[-1] == 1 if command == "simulate" else args[0][0].environment == "Real"
+            if second and os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataio, name, dying)
+        force_cpus(monkeypatch, 2)
+        capsys.readouterr()
+        argv = {
+            "simulate": ["simulate", "--design", str(design_path), "--seed", "3", "--out", str(data)],
+            "preprocess": ["preprocess", "--in", str(data), "--out", str(tmp_path / "work")],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "ChildProcessError"
+        assert "worker process died" in json.loads(err)["error"]["message"]
+        assert multiprocessing.active_children() == []
+        if command == "simulate":
+            assert not (data / "ledger.json").exists()
+        else:
+            assert not (tmp_path / "work" / "gva_table.csv").exists()
+
     @pytest.mark.parametrize("name", [
         "simulate_design_environment_path", "simulate_design_environment_number",
         "simulate_design_bool_depth", "simulate_design_nan_depth",

@@ -161,6 +161,22 @@ JSON_TREES = st.recursive(
 )
 
 
+# Ids with a quote, a backslash, non-ASCII and control characters, which the
+# encoder escapes; times at zero, subnormal, huge and not finite.
+TAG_IDS = st.text(alphabet=st.sampled_from('aZ0 "\\\t\n\x00\x1f\x7féR€😀'), max_size=4)
+TAG_TIMES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.5e-310, 1e300, -1e300, 1.2345678901234567, math.nan, math.inf]),
+)
+
+
+@st.composite
+def trial_artifacts(draw):
+    counts = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)))
+    times = draw(st.lists(TAG_TIMES, min_size=sum(counts), max_size=sum(counts)))
+    return synth.TrialArtifacts(draw(TAG_IDS), draw(TAG_IDS), draw(TAG_IDS), np.array(times, dtype=float), counts)
+
+
 @pytest.fixture(scope="module")
 def json_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("json")
@@ -218,23 +234,28 @@ class TestCanonicalJsonOracle:
             dataio.write_json(str(json_dir / "bad.json"), bad)
 
     @settings(max_examples=200, deadline=None)
-    @given(tree=JSON_TREES, precise=st.booleans())
-    def test_iterators_write_as_the_lists_they_yield(self, json_dir, tree, precise):
-        expected = dataio.canonical_json(tree, precise)
-        assert dataio.canonical_json(as_iterators(tree), precise) == expected
-        path = json_dir / "iterators.json"
-        dataio.write_json(str(path), as_iterators(tree), precise)
+    @given(tree=JSON_TREES, trials=st.lists(trial_artifacts(), max_size=3), precise=st.booleans())
+    def test_iterators_write_as_the_lists_they_yield(self, json_dir, tree, trials, precise):
+        # A LedgerArtifacts in every container of the tree, so at every nesting level.
+        entries = synth.LedgerArtifacts(trials)
+        expected = reference_canonical_json(in_every_container(tree, list(entries)), precise)
+        assert dataio.canonical_json(in_every_container(tree, entries), precise) == expected
+        path = json_dir / "entries.json"
+        dataio.write_json(str(path), in_every_container(tree, entries), precise)
         assert path.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("tree", [[], {"a": [], "b": [[], {}]}, [[]], [1, []], {"k": [{"x": []}]}])
     def test_empty_iterators_write_as_empty_lists(self, json_dir, tree):
-        assert dataio.canonical_json(iter(())) == "[]\n"
-        for precise in (False, True):
-            expected = reference_canonical_json(tree, precise)
-            assert dataio.canonical_json(as_iterators(tree), precise) == expected
-            path = json_dir / "empty.json"
-            dataio.write_json(str(path), as_iterators(tree), precise)
-            assert path.read_text(encoding="utf-8") == expected
+        # Every empty list becomes a LedgerArtifacts with no tags.
+        assert dataio.canonical_json(synth.LedgerArtifacts([])) == "[]\n"
+        no_tags = synth.TrialArtifacts("p01", "Real", "t000", np.empty(0), (0, 0, 0))
+        for empty in (synth.LedgerArtifacts([]), synth.LedgerArtifacts([no_tags, no_tags])):
+            for precise in (False, True):
+                expected = reference_canonical_json(tree, precise)
+                assert dataio.canonical_json(empty_lists_as(tree, empty), precise) == expected
+                path = json_dir / "empty.json"
+                dataio.write_json(str(path), empty_lists_as(tree, empty), precise)
+                assert path.read_text(encoding="utf-8") == expected
 
     def test_failed_write_leaves_the_file_unchanged(self, tmp_path):
         path = tmp_path / "kept.json"
@@ -242,19 +263,66 @@ class TestCanonicalJsonOracle:
         before = path.read_bytes()
         # The first item is written before the unserializable one is reached.
         with pytest.raises(TypeError):
-            dataio.write_json(str(path), {"kept": iter([[1], [object()]])})
+            dataio.write_json(str(path), {"kept": [[1], [object()]]})
         assert path.read_bytes() == before
         with pytest.raises(TypeError):
             dataio.write_json(str(tmp_path / "new.json"), [[1], {2, 3}])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
 
 
-def as_iterators(tree):
-    """``tree`` with every list and tuple made a one-shot iterator over its items."""
+def ledger_with(artifacts: synth.LedgerArtifacts, as_dicts: bool) -> dict:
+    """A ledger-shaped document whose ``artifacts`` is ``artifacts``, or the list of dicts it iterates as."""
+    return {"artifacts": list(artifacts) if as_dicts else artifacts, "seed": 7, "trials": [{"trial_id": "t000"}]}
+
+
+class TestLedgerArtifactsOracle:
+    """The ledger's template writer against ``json.dumps`` on the per-tag dicts."""
+
+    def check(self, json_dir, artifacts: synth.LedgerArtifacts, precise: bool) -> None:
+        expected = reference_canonical_json(ledger_with(artifacts, as_dicts=True), precise)
+        assert dataio.canonical_json(ledger_with(artifacts, as_dicts=False), precise) == expected
+        path = json_dir / "ledger.json"
+        dataio.write_json(str(path), ledger_with(artifacts, as_dicts=False), precise)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=300, deadline=None)
+    @given(trials=st.lists(trial_artifacts(), max_size=4), precise=st.booleans())
+    def test_trials_match_the_reference(self, json_dir, trials, precise):
+        self.check(json_dir, synth.LedgerArtifacts(trials), precise)
+
+    @pytest.mark.parametrize(
+        "counts, times",
+        [((0, 0, 0), []), ((2, 0, 0), [0.0, 5e-324]), ((0, 1, 0), [1e300]), ((0, 0, 2), [math.nan, -0.0])],
+    )
+    def test_empty_and_one_kind_trials(self, json_dir, counts, times):
+        trial = synth.TrialArtifacts("p01", 'A"R', "t000", np.array(times, dtype=float), counts)
+        for trials in ([], [trial], [trial, trial]):
+            for precise in (False, True):
+                self.check(json_dir, synth.LedgerArtifacts(trials), precise)
+
+    def test_tags_iterate_as_their_dicts(self):
+        trial = synth.TrialArtifacts("p01", "Real", "t003", np.array([0.5, 0.25, 2.0]), (1, 0, 2))
+        assert list(synth.LedgerArtifacts([trial])) == [
+            {"participant_id": "p01", "environment": "Real", "trial_id": "t003", "t_s": t, "kind": kind}
+            for t, kind in ((0.5, "dropout"), (0.25, "outlier"), (2.0, "outlier"))
+        ]
+
+
+def in_every_container(tree, value):
+    """``tree`` with ``value`` added to every dict (under the key ``"entries"``) and appended to every list."""
     if isinstance(tree, dict):
-        return {k: as_iterators(v) for k, v in tree.items()}
+        return {**{k: in_every_container(v, value) for k, v in tree.items()}, "entries": value}
     if isinstance(tree, (list, tuple)):
-        return (as_iterators(v) for v in tree)
+        return [in_every_container(v, value) for v in tree] + [value]
+    return tree
+
+
+def empty_lists_as(tree, empty):
+    """``tree`` with every empty list replaced by ``empty``."""
+    if isinstance(tree, dict):
+        return {k: empty_lists_as(v, empty) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [empty_lists_as(v, empty) for v in tree] if tree else empty
     return tree
 
 
@@ -338,6 +406,16 @@ class TestWriteDataset:
         assert tree_bytes(tmp_path / "streamed") == expected
         if config.timeout_rate:
             assert b'"landolt_response": "timeout"' in expected["manifests/p01_Real.json"]
+
+    def test_environment_names_that_need_escaping(self, tmp_path):
+        design = ExperimentDesign(n_participants=1, repetitions=1, environments=("Réal", 'A"R', "V\tR"))
+        reference_write_dataset(str(tmp_path / "reference"), simulate_cohort(design, CohortConfig(), 7))
+        assert dataio.write_dataset(str(tmp_path / "streamed"), design, CohortConfig(), 7) == 36
+        expected = tree_bytes(tmp_path / "reference")
+        assert tree_bytes(tmp_path / "streamed") == expected
+        ledger = expected["ledger.json"]
+        assert all(name in ledger for name in (b'"R\\u00e9al"', b'"A\\"R"', b'"V\\tR"'))
+        assert len(json.loads(ledger)["artifacts"]) > 100
 
     def test_a_written_session_is_released(self, tmp_path, monkeypatch):
         # One CPU: the sessions are written in this process, where the watcher sees them.
