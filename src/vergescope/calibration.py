@@ -65,13 +65,17 @@ class ParticipantModel:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ParticipantModel":
-        return cls(
+        """The model of a ``to_dict`` mapping; a non-finite intercept, slope or residual SD raises ValueError."""
+        model = cls(
             participant_id=str(d["participant_id"]),
             intercept_deg=float(d["intercept_deg"]),
             slope_deg_per_d=float(d["slope_deg_per_diopter"]),
             residual_sd_deg=float(d["residual_sd_deg"]),
             n_points=int(d["n_points"]),
         )
+        if not all(map(math.isfinite, (model.intercept_deg, model.slope_deg_per_d, model.residual_sd_deg))):
+            raise ValueError("intercept_deg, slope_deg_per_diopter and residual_sd_deg must be finite")
+        return model
 
 
 @dataclass(frozen=True)

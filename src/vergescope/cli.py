@@ -196,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Depth from binocular gaze vergence: simulation, cleaning, calibration, analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = PipelineConfig()
 
     p = sub.add_parser("simulate", help="generate a synthetic cohort dataset")
     p.add_argument("--design", help="JSON file with 'design' and optional 'cohort' blocks")
@@ -206,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="clean a dataset into a per-trial table")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--confidence", type=_FRACTION, default=0.75)
-    p.add_argument("--max-velocity", type=_POSITIVE, default=5000.0)
-    p.add_argument("--sd-k", type=_POSITIVE, default=2.5)
-    p.add_argument("--sd-scope", choices=["session", "trial"], default="session")
+    p.add_argument("--confidence", type=_FRACTION, default=defaults.confidence_threshold)
+    p.add_argument("--max-velocity", type=_POSITIVE, default=defaults.max_velocity_deg_s)
+    p.add_argument("--sd-k", type=_POSITIVE, default=defaults.outlier_k_sd)
+    p.add_argument("--sd-scope", choices=["session", "trial"], default=defaults.outlier_scope)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fit", help="fit per-participant calibration models")
@@ -238,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--participant", default=None)
     p.add_argument("--stream", action="store_true",
                    help="process and flush each row as it arrives; without it, rows are processed in blocks of 4,096")
-    p.add_argument("--confidence", type=_FRACTION, default=0.75)
-    p.add_argument("--max-velocity", type=_POSITIVE, default=5000.0)
+    p.add_argument("--confidence", type=_FRACTION, default=defaults.confidence_threshold)
+    p.add_argument("--max-velocity", type=_POSITIVE, default=defaults.max_velocity_deg_s)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("report", help="render SVG plots and text tables from an analysis")
@@ -253,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except VergescopeError as exc:
-        sys.stderr.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
-        return 2
-    except (OSError, ValueError, KeyError) as exc:
+    except (VergescopeError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}) + "\n")
         return 2
 

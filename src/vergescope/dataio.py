@@ -42,13 +42,13 @@ in forked worker processes, ``min(sessions, len(os.sched_getaffinity(0)))``
 of them, or in this process when that is below two, with no flag or setting
 to choose. Each process holds one session's samples at a time, and the bytes
 written are the same either way. A ``write_dataset`` task simulates a session
-and writes its gaze files and manifest, and hands back only its
-``TrialArtifacts``, truth and reports, from which the parent writes
-``subjective.csv`` and last ``ledger.json``, so a dataset with a ledger is
-complete. A ``preprocess_dir`` task parses one session's gaze files and
-hands back its cleaned rows. A failure raises the error of the first failing
-session in sorted order, or ``ChildProcessError`` when a worker dies, and
-leaves no worker process behind.
+and writes its gaze files and manifest, and hands back the session's
+``synth.SimulatedDataset`` without its trials; the parent merges them and
+writes ``subjective.csv`` and last ``ledger.json``, so a dataset with a
+ledger is complete. A ``preprocess_dir`` task parses one session's gaze
+files and hands back its cleaned rows. A failure raises the error of the
+first failing session in sorted order, or ``ChildProcessError`` when a
+worker dies, and leaves no worker process behind.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ from .synth import (
     CohortConfig,
     ExperimentDesign,
     LedgerArtifacts,
-    SimulatedSession,
+    SimulatedDataset,
     SubjectiveReport,
-    build_ledger,
     simulate_session,
 )
 
@@ -514,8 +513,9 @@ def parse_subjective_csv(path: str) -> list[SubjectiveReport]:
                 rep = int(row["repetition"])
             except (KeyError, ValueError) as exc:
                 raise GazeParseError(f"bad subjective row: {exc}", path, line_no) from None
-            if value <= 0.0:
-                raise GazeParseError(f"report_value must be positive, got {value}", path, line_no)
+            for name, v in (("depth_m", depth), ("report_value", value)):
+                if not 0.0 < v < math.inf:
+                    raise GazeParseError(f"{name} must be positive and finite, got {v!r}", path, line_no)
             out.append(
                 SubjectiveReport(row["participant_id"], row["environment"], depth, value, row["unit"], rep)
             )
@@ -670,15 +670,15 @@ def _map_sessions(fn, tasks: Sequence) -> list:
             raise
 
 
-def _write_session(task) -> tuple[SimulatedSession, int]:
+def _write_session(task) -> SimulatedDataset:
     """Simulate one session and write its gaze files and manifest.
 
     ``task`` is ``(outdir, design, config, seed, p_index, e_index)``. Returns
-    the session without its trials, and how many trials were written.
+    the session without its trials.
     """
     outdir, design, config, seed, p_index, e_index = task
     session = simulate_session(design, config, seed, p_index, e_index)
-    pid, env = session.physiology.participant_id, session.environment
+    (pid,), env = session.physiology, design.environments[e_index]
     gaze_dir = os.path.join(outdir, "gaze", f"{pid}_{env}")
     os.makedirs(gaze_dir, exist_ok=True)
     rel_files = []
@@ -686,9 +686,8 @@ def _write_session(task) -> tuple[SimulatedSession, int]:
         write_gaze_csv(os.path.join(gaze_dir, f"{t.trial_id}.csv"), t.samples)
         rel_files.append(os.path.join("..", "gaze", f"{pid}_{env}", f"{t.trial_id}.csv"))
     write_manifest(os.path.join(outdir, "manifests", f"{pid}_{env}.json"), session.trials, rel_files, design.depths_m)
-    n_trials = len(session.trials)
     session.trials = []
-    return session, n_trials
+    return session
 
 
 def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, seed: int) -> int:
@@ -697,9 +696,9 @@ def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, s
     ``config.json`` is written first. Each session is simulated and has its
     gaze files and manifest written by one task of ``_map_sessions``.
     ``subjective.csv`` and ``ledger.json`` come last, once every session is
-    written, the ledger's artifact entries written trial by trial from the
-    sessions' ``TrialArtifacts``; a failure part way leaves the sessions
-    written so far and neither of the two.
+    written, from the sessions merged in task order, the ledger's artifact
+    entries written trial by trial from their ``TrialArtifacts``; a failure
+    part way leaves the sessions written so far and neither of the two.
     """
     os.makedirs(os.path.join(outdir, "manifests"), exist_ok=True)
     write_json(os.path.join(outdir, "config.json"), {"design": design.to_dict(), "seed": seed})
@@ -708,21 +707,10 @@ def write_dataset(outdir: str, design: ExperimentDesign, config: CohortConfig, s
         for p_index in range(design.n_participants)
         for e_index in range(len(design.environments))
     ]
-    physiology, artifacts, truth, subjective = {}, [], {}, []
-    n_trials = 0
-    for session, n in _map_sessions(_write_session, tasks):
-        n_trials += n
-        physiology[session.physiology.participant_id] = session.physiology
-        artifacts.extend(session.artifacts)
-        truth.update(session.trial_truth)
-        subjective.extend(session.subjective)
-    write_subjective_csv(os.path.join(outdir, "subjective.csv"), subjective)
-    write_json(
-        os.path.join(outdir, "ledger.json"),
-        build_ledger(design, config, seed, physiology, artifacts, truth),
-        precise=True,
-    )
-    return n_trials
+    merged = SimulatedDataset.merged(_map_sessions(_write_session, tasks))
+    write_subjective_csv(os.path.join(outdir, "subjective.csv"), merged.subjective)
+    write_json(os.path.join(outdir, "ledger.json"), merged.ledger(), precise=True)
+    return len(merged.trial_truth)
 
 
 def _dataset_sessions(datadir: str) -> list[list[tuple[str, dict]]]:
@@ -751,7 +739,7 @@ def _process_session_files(manifests: list[tuple[str, dict]], config: PipelineCo
 
 
 def preprocess_dir(datadir: str, config: PipelineConfig) -> tuple[list[ProcessedTrial], ValidityReport]:
-    """Clean the dataset under ``datadir`` as ``pipeline.preprocess_sessions`` cleans its sessions.
+    """Clean the dataset under ``datadir`` as ``pipeline.preprocess_dataset`` cleans its trials.
 
     Each session's gaze files are parsed and cleaned by one worker of
     ``_map_sessions``, which returns only the session's rows; the rows are

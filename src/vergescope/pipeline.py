@@ -44,7 +44,6 @@ __all__ = [
     "trial_validity",
     "ProcessedTrial",
     "process_session",
-    "preprocess_sessions",
     "collect_processed",
     "preprocess_dataset",
     "validity_gate",
@@ -339,23 +338,6 @@ def process_session(trials: Sequence[TrialRecord], config: PipelineConfig | None
     return [_finish_trial(t) for t in cleaned]
 
 
-def preprocess_sessions(
-    sessions: Iterable[Sequence[TrialRecord]],
-    config: PipelineConfig | None = None,
-) -> tuple[list[ProcessedTrial], "ValidityReport"]:
-    """Clean sessions one at a time and compute the hierarchical validity report.
-
-    Each item of ``sessions`` holds one (participant, environment) session's
-    trials. ``process_session`` runs on it as it arrives, and only its
-    ``ProcessedTrial`` rows are kept, so a generator of sessions never has
-    more than one session's samples in memory. The rows go to
-    ``collect_processed``.
-    """
-    config = config or PipelineConfig()
-    # map drops each session's trials as soon as process_session returns.
-    return collect_processed(map(partial(process_session, config=config), sessions))
-
-
 def collect_processed(
     session_rows: Iterable[Iterable[ProcessedTrial]],
 ) -> tuple[list[ProcessedTrial], "ValidityReport"]:
@@ -376,13 +358,15 @@ def preprocess_dataset(
     """Clean every trial and compute the hierarchical validity report.
 
     The trials are grouped into (participant, environment) sessions, in the
-    order they arrive within each session, and the sessions go through
-    ``preprocess_sessions`` in sorted order.
+    order they arrive within each session; ``process_session`` cleans the
+    sessions in sorted order, and ``collect_processed`` sorts and counts
+    their rows.
     """
     sessions: dict[tuple[str, str], list[TrialRecord]] = defaultdict(list)
     for t in trials:
         sessions[(t.participant_id, t.environment)].append(t)
-    return preprocess_sessions((sessions[k] for k in sorted(sessions)), config)
+    ordered = (sessions[k] for k in sorted(sessions))
+    return collect_processed(map(partial(process_session, config=config), ordered))
 
 
 @dataclass

@@ -8,13 +8,14 @@ artifacts (dropouts, velocity spikes, amplitude outliers). Every injected
 effect is recorded in a ledger so the cleaning pipeline can be scored
 exactly.
 
-``simulate_session`` generates one (participant, environment) session from
-the cohort seed and the session's indices alone, each session from its own
-child ``SeedSequence``, and keeps a trial's artifact tags in the compact
-``TrialArtifacts`` form; ``dataio`` simulates and writes each session in its
-own task. ``simulate_sessions`` yields the cohort's sessions one at a time,
-and ``simulate_cohort`` collects them into one ``SimulatedDataset`` held in
-memory.
+``SimulatedDataset`` is the one simulated-data type, for one session or a
+whole cohort. ``simulate_session`` generates one (participant, environment)
+session from the cohort seed and the session's indices alone, each session
+from its own child ``SeedSequence``, and keeps a trial's artifact tags in the
+compact ``TrialArtifacts`` form. ``SimulatedDataset.merged`` joins sessions
+in the order given: ``simulate_cohort`` merges every session held in memory,
+and ``dataio`` simulates and writes each session in its own task, then merges
+the sessions without their trials.
 """
 
 from __future__ import annotations
@@ -40,16 +41,13 @@ __all__ = [
     "ArtifactTag",
     "TrialArtifacts",
     "SubjectiveReport",
-    "SimulatedSession",
     "SimulatedDataset",
     "implied_response_line",
     "solve_effective_ipd",
     "generate_sequence",
     "simulate_trial",
     "simulate_session",
-    "simulate_sessions",
     "simulate_cohort",
-    "build_ledger",
 ]
 
 
@@ -578,46 +576,13 @@ def _draw_physiology(
     raise DomainError("could not draw physiology satisfying the positivity floor")
 
 
-def build_ledger(
-    design: ExperimentDesign,
-    config: CohortConfig,
-    seed: int,
-    physiology: Mapping[str, PhysiologyParams],
-    artifacts: Sequence[TrialArtifacts],
-    trial_truth: Mapping[tuple[str, str, str], dict],
-) -> dict:
-    """The ground-truth ledger; its ``artifacts`` entry is a ``LedgerArtifacts`` over the trials' tags, in trial order."""
-    participants = {}
-    for pid, phys in sorted(physiology.items()):
-        a, b = phys.implied_line(design.depths_m)
-        participants[pid] = {
-            "ipd_m": phys.ipd_m,
-            "intercept_bias_deg": phys.intercept_bias_deg,
-            "response_mode": phys.response_mode,
-            "slope_implied_deg_per_d": b,
-            "intercept_implied_deg": a,
-        }
-    return {
-        "seed": seed,
-        "participants": participants,
-        "env_offsets_deg": dict(config.environment.offsets_deg),
-        "subjective_factors": dict(config.subjective_factors),
-        "artifacts": LedgerArtifacts(artifacts),
-        "trials": [
-            {
-                "participant_id": pid,
-                "environment": env,
-                "trial_id": tid,
-                **truth,
-            }
-            for (pid, env, tid), truth in sorted(trial_truth.items())
-        ],
-    }
-
-
 @dataclass
 class SimulatedDataset:
-    """A full simulated cohort plus its ground-truth ledger, held in memory."""
+    """Simulated sessions plus their ground truth, held in memory: one session, or a cohort merged from them.
+
+    ``subjective`` holds a participant's distance reports in the
+    participant's first session, so each report comes once.
+    """
 
     design: ExperimentDesign
     config: CohortConfig
@@ -628,34 +593,60 @@ class SimulatedDataset:
     trial_truth: dict[tuple[str, str, str], dict]
     subjective: list[SubjectiveReport]
 
+    @classmethod
+    def merged(cls, parts: Sequence["SimulatedDataset"]) -> "SimulatedDataset":
+        """The parts' trials, tags, truth and reports joined in order, under the first part's design, config and seed."""
+        first = parts[0]
+        return cls(
+            first.design,
+            first.config,
+            first.seed,
+            trials=[t for p in parts for t in p.trials],
+            physiology={pid: phys for p in parts for pid, phys in p.physiology.items()},
+            trial_artifacts=[a for p in parts for a in p.trial_artifacts],
+            trial_truth={key: truth for p in parts for key, truth in p.trial_truth.items()},
+            subjective=[r for p in parts for r in p.subjective],
+        )
+
     @property
     def artifacts(self) -> list[ArtifactTag]:
         """Every trial's artifact tags, one ``ArtifactTag`` each, in trial order."""
         return [tag for a in self.trial_artifacts for tag in a.tags()]
 
+    def ledger(self) -> dict:
+        """The ground-truth ledger; its ``artifacts`` entry is a ``LedgerArtifacts`` over the trials' tags, in trial order."""
+        participants = {}
+        for pid, phys in sorted(self.physiology.items()):
+            a, b = phys.implied_line(self.design.depths_m)
+            participants[pid] = {
+                "ipd_m": phys.ipd_m,
+                "intercept_bias_deg": phys.intercept_bias_deg,
+                "response_mode": phys.response_mode,
+                "slope_implied_deg_per_d": b,
+                "intercept_implied_deg": a,
+            }
+        return {
+            "seed": self.seed,
+            "participants": participants,
+            "env_offsets_deg": dict(self.config.environment.offsets_deg),
+            "subjective_factors": dict(self.config.subjective_factors),
+            "artifacts": LedgerArtifacts(self.trial_artifacts),
+            "trials": [
+                {
+                    "participant_id": pid,
+                    "environment": env,
+                    "trial_id": tid,
+                    **truth,
+                }
+                for (pid, env, tid), truth in sorted(self.trial_truth.items())
+            ],
+        }
+
     def ledger_dict(self) -> dict:
-        ledger = build_ledger(
-            self.design, self.config, self.seed, self.physiology, self.trial_artifacts, self.trial_truth
-        )
+        """``ledger()`` with its artifacts listed as dicts."""
+        ledger = self.ledger()
         ledger["artifacts"] = list(ledger["artifacts"])
         return ledger
-
-
-@dataclass
-class SimulatedSession:
-    """One (participant, environment) session as ``simulate_sessions`` yields it.
-
-    ``subjective`` holds the participant's distance reports on the
-    participant's first session and is empty on the others, so each report
-    comes once.
-    """
-
-    physiology: PhysiologyParams
-    environment: str
-    trials: list[TrialRecord]
-    artifacts: list[TrialArtifacts]
-    trial_truth: dict[tuple[str, str, str], dict]
-    subjective: list[SubjectiveReport]
 
 
 def _participant_subjective(
@@ -680,8 +671,8 @@ def _participant_subjective(
 
 def simulate_session(
     design: ExperimentDesign, config: CohortConfig, seed: int, p_index: int, e_index: int
-) -> SimulatedSession:
-    """Session ``e_index`` of participant ``p_index``, as ``simulate_sessions(design, config, seed)`` yields it.
+) -> SimulatedDataset:
+    """Session ``e_index`` of participant ``p_index`` as a one-session ``SimulatedDataset``.
 
     The participant's seed is re-derived as
     ``SeedSequence(seed).spawn(design.n_participants)[p_index]``, and from it
@@ -699,7 +690,7 @@ def simulate_session(
     subjective = _participant_subjective(pid, design, config, prng) if e_index == 0 else []
     env = design.environments[e_index]
     srng = np.random.default_rng(seqs[e_index + 1])
-    session = SimulatedSession(phys, env, [], [], {}, subjective)
+    session = SimulatedDataset(design, config, seed, [], {pid: phys}, [], {}, subjective)
     sequence = generate_sequence(design, srng)
     onset = 0.0
     offset_deg = config.environment.offset(env)
@@ -724,27 +715,10 @@ def simulate_session(
             config.timeout_rate,
         )
         session.trials.append(trial)
-        session.artifacts.append(artifacts)
+        session.trial_artifacts.append(artifacts)
         session.trial_truth[(pid, env, spec.trial_id)] = truth
         onset += design.trial_duration_s + float(srng.uniform(*design.iti_range_s))
     return session
-
-
-def simulate_sessions(
-    design: ExperimentDesign, config: CohortConfig, seed: int
-) -> Iterator[SimulatedSession]:
-    """Simulate the cohort deterministically from ``seed``, one ``simulate_session`` at a time.
-
-    Sessions come participant by participant, in ``design.environments``
-    order within a participant. Each participant gets an independent child
-    seed (and each session its own), so every session is the same however
-    many of them are generated or kept. The generator simulates a session
-    only when it is requested and keeps no reference to the sessions it has
-    yielded.
-    """
-    for p_index in range(design.n_participants):
-        for e_index in range(len(design.environments)):
-            yield simulate_session(design, config, seed, p_index, e_index)
 
 
 def simulate_cohort(
@@ -754,20 +728,17 @@ def simulate_cohort(
 ) -> SimulatedDataset:
     """Simulate the whole cohort deterministically from ``seed`` and hold it in memory.
 
-    Collects the sessions of ``simulate_sessions``, so the trials, tags and
-    reports are those that ``dataio.write_dataset`` writes for the same
+    Merges every ``simulate_session``, participant by participant and in
+    ``design.environments`` order within a participant, so the trials, tags
+    and reports are those that ``dataio.write_dataset`` writes for the same
     design, config and seed.
     """
     design = design or ExperimentDesign()
     config = config or CohortConfig()
-    sessions = list(simulate_sessions(design, config, seed))
-    return SimulatedDataset(
-        design,
-        config,
-        seed,
-        trials=[t for s in sessions for t in s.trials],
-        physiology={s.physiology.participant_id: s.physiology for s in sessions},
-        trial_artifacts=[a for s in sessions for a in s.artifacts],
-        trial_truth={key: truth for s in sessions for key, truth in s.trial_truth.items()},
-        subjective=[r for s in sessions for r in s.subjective],
+    return SimulatedDataset.merged(
+        [
+            simulate_session(design, config, seed, p_index, e_index)
+            for p_index in range(design.n_participants)
+            for e_index in range(len(design.environments))
+        ]
     )

@@ -229,12 +229,36 @@ MALFORMED_CLI = {
     "analyze_truncated_subjective": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (
         "participant_id,environment,depth_m,report_value,unit,repetition\np01,Real,1.0\n")},
         ["--logratio", "--out", "OUT"], None),
+    # A report value or depth that is not positive and finite would skew the log ratios.
+    **{
+        f"analyze_subjective_{name}": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (
+            "participant_id,environment,depth_m,report_value,unit,repetition\n"
+            f"p01,Real,1.0,2.0,meters,1\np01,Real,{depth},{value},meters,2\n")}, ["--logratio", "--out", "OUT"], None)
+        for name, depth, value in [
+            ("inf_value", "1.0", "inf"),
+            ("nan_value", "1.0", "nan"),
+            ("nan_depth", "nan", "2.0"),
+            ("zero_depth", "0", "2.0"),
+            ("negative_depth", "-1", "2.0"),
+            ("inf_depth", "inf", "2.0"),
+        ]
+    },
     "analyze_models_list": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": json.dumps(GOOD_MODELS["models"])},
                             ["--out", "OUT"], None),
     "analyze_models_empty_object": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": "{}"}, ["--out", "OUT"], None),
     "analyze_models_missing_key": ("analyze", {"--gva-table": GVA_TABLE_HEADER,
                                                "--models": json.dumps({"models": [{"participant_id": "p01"}]})},
                                    ["--out", "OUT"], None),
+    # json.load reads a NaN literal; a model's coefficients must be finite.
+    **{
+        f"{command}_models_nan_{key}": (command, {**files, option: json.dumps(
+            {"models": [dict(GOOD_MODELS["models"][0], **{key: float("nan")})]})}, extra, stdin)
+        for command, files, option, extra, stdin in [
+            ("analyze", {"--gva-table": GVA_TABLE_HEADER}, "--models", ["--out", "OUT"], None),
+            ("estimate", {}, "--model", [], _gaze_rows(GAZE_ROW)),
+        ]
+        for key in ("intercept_deg", "slope_deg_per_diopter", "residual_sd_deg")
+    },
     "estimate_models_list": ("estimate", {"--model": json.dumps(GOOD_MODELS["models"])}, [], ""),
     "estimate_models_empty_object": ("estimate", {"--model": "{}"}, [], ""),
     "estimate_models_empty_list": ("estimate", {"--model": json.dumps({"models": []})}, [], ""),
@@ -359,7 +383,7 @@ class TestMalformedInputContract:
         assert len(lines) == 1, r.stderr
         doc = json.loads(lines[0])
         assert set(doc) == {"error"} and doc["error"]["type"] and doc["error"]["message"]
-        if any(part in name for part in ("_models_", "_design_", "_analysis_", "_table_")):
+        if any(part in name for part in ("_models_", "_design_", "_analysis_", "_table_", "_subjective_")):
             # One shape check names the input file, not a later symptom.
             assert doc["error"]["type"] == "GazeParseError"
         if "_usage_" in name:
@@ -468,7 +492,7 @@ class TestSessionStreaming:
 
     def test_trial_scope_tests_each_trial_against_its_own_samples(self, streamed_dataset, tmp_path):
         from vergescope.pipeline import (
-            PipelineConfig, confidence_filter, outlier_filter, preprocess_sessions, velocity_filter,
+            PipelineConfig, confidence_filter, outlier_filter, preprocess_dataset, velocity_filter,
         )
 
         reports = {}
@@ -477,7 +501,7 @@ class TestSessionStreaming:
             assert main(["preprocess", "--in", str(streamed_dataset), "--out", str(out), "--sd-scope", scope]) == 0
             reports[scope] = json.loads((out / "validity_report.json").read_text())["samples"]
         sessions = load_dataset_sessions(streamed_dataset)
-        processed, _ = preprocess_sessions(sessions, PipelineConfig(outlier_scope="trial"))
+        processed, _ = preprocess_dataset([t for s in sessions for t in s], PipelineConfig(outlier_scope="trial"))
         dataio.write_gva_table_csv(str(tmp_path / "expected.csv"), processed)
         assert (tmp_path / "trial" / "gva_table.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
         trials = {(t.participant_id, t.environment, t.trial_id): t for session in sessions for t in session}

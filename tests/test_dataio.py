@@ -351,6 +351,28 @@ class TestDatasetRoundtrip:
         back = dataio.parse_subjective_csv(str(path))
         assert back == ds.subjective
 
+    @pytest.mark.parametrize(
+        "depth, value, message",
+        [
+            ("1.0", "inf", "report_value must be positive and finite, got inf"),
+            ("1.0", "nan", "report_value must be positive and finite, got nan"),
+            ("1.0", "0", "report_value must be positive and finite, got 0.0"),
+            ("nan", "2.0", "depth_m must be positive and finite, got nan"),
+            ("0", "2.0", "depth_m must be positive and finite, got 0.0"),
+            ("-1", "2.0", "depth_m must be positive and finite, got -1.0"),
+            ("inf", "2.0", "depth_m must be positive and finite, got inf"),
+        ],
+    )
+    def test_subjective_bad_value_names_its_line(self, tmp_path, depth, value, message):
+        path = tmp_path / "subjective.csv"
+        path.write_text(
+            "participant_id,environment,depth_m,report_value,unit,repetition\n"
+            f"p01,Real,1.0,2.0,meters,1\np01,Real,{depth},{value},meters,2\n"
+        )
+        with pytest.raises(GazeParseError) as exc:
+            dataio.parse_subjective_csv(str(path))
+        assert str(exc.value) == f"{message} [{path}:3]"
+
 
 def reference_write_dataset(outdir: str, dataset) -> None:
     """The whole-cohort writer that ``write_dataset`` replaced: it wrote a ``simulate_cohort`` result."""
@@ -640,6 +662,15 @@ def test_depth_pair_matches_the_formulas_it_replaced(start, end):
 
 
 class TestModelsJson:
+    @pytest.mark.parametrize("key", ["intercept_deg", "slope_deg_per_diopter", "residual_sd_deg"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_refused(self, tmp_path, key, bad):
+        good = ParticipantModel("p01", 17.5, 1.7, 0.3, 12).to_dict()
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps({"models": [good, dict(good, participant_id="p02", **{key: bad})]}))
+        with pytest.raises(GazeParseError, match=r"^bad model entry 1: ValueError: .* must be finite"):
+            dataio.load_models_json(str(path))
+
     def test_roundtrip(self, tmp_path):
         models = {
             "p01": ParticipantModel("p01", 17.5, 1.7, 0.3, 12),

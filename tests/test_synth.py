@@ -18,12 +18,13 @@ from vergescope.synth import (
     ExperimentDesign,
     NoiseModel,
     PhysiologyParams,
+    SimulatedDataset,
     TrialSpec,
     _place_artifacts,
     generate_sequence,
     implied_response_line,
     simulate_cohort,
-    simulate_sessions,
+    simulate_session,
     simulate_trial,
     solve_effective_ipd,
 )
@@ -272,21 +273,42 @@ class TestSimulateCohort:
 
         monkeypatch.setattr(synth, "simulate_trial", counted)
         design = ExperimentDesign(n_participants=2, repetitions=1)
-        sessions = simulate_sessions(design, CohortConfig(), seed=3)
-        assert calls == []
-        first = next(sessions)
+        first = simulate_session(design, CohortConfig(), 3, 0, 0)
         assert len(calls) == design.trials_per_session
         assert {(s.participant_id, s.environment) for s in calls} == {("p01", "Real")}
-        assert len(first.trials) == len(first.artifacts) == len(first.trial_truth) == design.trials_per_session
+        assert list(first.physiology) == ["p01"]
+        assert len(first.trials) == len(first.trial_artifacts) == len(first.trial_truth) == design.trials_per_session
 
     def test_sessions_come_participant_by_participant(self):
         design = ExperimentDesign(n_participants=2, repetitions=1)
-        sessions = list(simulate_sessions(design, CohortConfig(), seed=5))
-        assert [(s.physiology.participant_id, s.environment) for s in sessions] == [
+        sessions = [simulate_session(design, CohortConfig(), 5, p, e) for p in range(2) for e in range(3)]
+        assert [(*s.physiology, s.trials[0].environment) for s in sessions] == [
             (pid, env) for pid in ("p01", "p02") for env in design.environments
         ]
         # Each participant's reports come once, on the participant's first session.
         assert [len(s.subjective) for s in sessions] == [36, 0, 0, 36, 0, 0]
+        cohort = simulate_cohort(design, CohortConfig(), seed=5)
+        assert [(t.participant_id, t.environment) for t in cohort.trials[:: design.trials_per_session]] == [
+            (pid, env) for pid in ("p01", "p02") for env in design.environments
+        ]
+
+    def test_merged_sessions_are_the_cohort(self):
+        design = ExperimentDesign(n_participants=2, repetitions=1)
+        config = CohortConfig()
+        merged = SimulatedDataset.merged(
+            [simulate_session(design, config, 9, p, e) for p in range(2) for e in range(3)]
+        )
+        cohort = simulate_cohort(design, config, seed=9)
+        assert merged.ledger_dict() == cohort.ledger_dict()
+        assert len(merged.ledger_dict()["artifacts"]) > 100
+        assert merged.subjective == cohort.subjective and len(cohort.subjective) == 2 * 36
+        assert len(merged.trials) == len(cohort.trials) == 6 * design.trials_per_session
+        for a, b in zip(merged.trials, cohort.trials):
+            assert (a.participant_id, a.environment, a.trial_id, a.start_depth_m, a.end_depth_m) == (
+                b.participant_id, b.environment, b.trial_id, b.start_depth_m, b.end_depth_m
+            )
+            for name in ("t_s", "l_dir", "r_dir", "l_conf", "r_conf"):
+                np.testing.assert_array_equal(getattr(a.samples, name), getattr(b.samples, name))
 
     def test_default_exclusion_in_reported_regime(self):
         # default artifact rates are tuned so the cascade excludes a mid-teens
