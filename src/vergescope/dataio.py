@@ -66,9 +66,10 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .calibration import ParticipantModel
-from .errors import GazeParseError
+from .errors import GazeParseError, UnitError
 from .pipeline import PipelineConfig, ProcessedTrial, ValidityReport, collect_processed, process_session
 from .recording import GazeSeries, TrialRecord, depths_in_set
+from .stats.veridicality import unit_to_meters
 from .synth import (
     ARTIFACT_KINDS,
     CohortConfig,
@@ -501,7 +502,14 @@ def write_subjective_csv(path: str, reports: Iterable[SubjectiveReport]) -> None
 
 
 def parse_subjective_csv(path: str) -> list[SubjectiveReport]:
+    """Read ``subjective.csv``; a row that would skew the log ratios raises a GazeParseError naming its line.
+
+    Depths and report values are positive and finite, the unit is one
+    ``stats.veridicality.unit_to_meters`` knows, and no two rows share a
+    participant, environment, depth and repetition.
+    """
     out = []
+    seen = {}
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for line_no, row in enumerate(reader, start=2):
@@ -511,14 +519,21 @@ def parse_subjective_csv(path: str) -> list[SubjectiveReport]:
                 value = float(row["report_value"])
                 depth = float(row["depth_m"])
                 rep = int(row["repetition"])
+                unit = row["unit"]
             except (KeyError, ValueError) as exc:
                 raise GazeParseError(f"bad subjective row: {exc}", path, line_no) from None
             for name, v in (("depth_m", depth), ("report_value", value)):
                 if not 0.0 < v < math.inf:
                     raise GazeParseError(f"{name} must be positive and finite, got {v!r}", path, line_no)
-            out.append(
-                SubjectiveReport(row["participant_id"], row["environment"], depth, value, row["unit"], rep)
-            )
+            try:
+                unit_to_meters(value, unit)
+            except UnitError as exc:
+                raise GazeParseError(str(exc), path, line_no) from None
+            key = (row["participant_id"], row["environment"], depth, rep)
+            if key in seen:
+                raise GazeParseError(f"repeats the report of line {seen[key]}", path, line_no)
+            seen[key] = line_no
+            out.append(SubjectiveReport(row["participant_id"], row["environment"], depth, value, unit, rep))
     return out
 
 

@@ -24,7 +24,9 @@ def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
     """Angles in degrees between paired rows of two (n, 3) direction arrays.
 
     Each angle is the arccosine of the row pair's normalized dot product,
-    clipped to [-1, 1]. A row with an all-zero or NaN vector gives NaN. A row
+    clipped to [-1, 1]. The dot product is summed in one written order,
+    ``(l0*r0 + l2*r2) + l1*r1``, so its rounding does not depend on which
+    kernel numpy dispatches. A row with an all-zero or NaN vector gives NaN. A row
     of finite, not-all-zero vectors whose norms overflow (components above
     about 1.3e154) or whose sums of squares are subnormal or zero (every
     component below about 1.5e-154) has each vector divided by its largest
@@ -36,7 +38,8 @@ def vergence_angles(l_dir: np.ndarray, r_dir: np.ndarray) -> np.ndarray:
         sl = np.add.reduce(l_dir * l_dir, axis=1)
         sr = np.add.reduce(r_dir * r_dir, axis=1)
         norms = np.sqrt(sl) * np.sqrt(sr)
-        cos = np.einsum("ij,ij->i", l_dir, r_dir) / norms
+        dot = (l_dir[:, 0] * r_dir[:, 0] + l_dir[:, 2] * r_dir[:, 2]) + l_dir[:, 1] * r_dir[:, 1]
+        cos = dot / norms
         cos = np.clip(cos, -1.0, 1.0)
         out = np.degrees(np.arccos(cos))
     out[(sl == 0.0) | (sr == 0.0)] = np.nan
@@ -65,11 +68,12 @@ def vergence_angle(l_dir: Sequence[float], r_dir: Sequence[float]) -> float:
     all-zero or NaN vector), without the kernel's per-call overhead;
     ``DepthStream`` uses it for a push of one row. The steps whose rounding
     order numpy picks stay numpy calls on the layout ``vergence_angles`` sees
-    for one row: the sums of squares, the einsum dot product and the
-    arccosine. The square roots, the product of
-    the norms, the division, the clip and the conversion to degrees are
-    single IEEE operations on Python floats. A pair with a NaN, infinite,
-    overflowing, zero or very short vector goes to ``vergence_angles`` itself.
+    for one row: the sums of squares and the arccosine. The dot product, in
+    the kernel's written order ``(l0*r0 + l2*r2) + l1*r1``, the square roots,
+    the product of the norms, the division, the clip and the conversion to
+    degrees are single IEEE operations on Python floats. A pair with a NaN,
+    infinite, overflowing, zero or very short vector goes to
+    ``vergence_angles`` itself.
     """
     if not (
         _PAIR_NORM_FLOOR < math.hypot(*l_dir) < _PAIR_NORM_LIMIT
@@ -78,9 +82,10 @@ def vergence_angle(l_dir: Sequence[float], r_dir: Sequence[float]) -> float:
         return float(vergence_angles(np.array([l_dir], dtype=float), np.array([r_dir], dtype=float))[0])
     pair = np.array((l_dir, r_dir), dtype=float)
     sl, sr = np.add.reduce(pair * pair, axis=1).tolist()
+    (l0, l1, l2), (r0, r1, r2) = pair.tolist()
     # Both sums of squares are normal, so each norm is at least 2**-511 and
     # their product cannot underflow to zero.
-    cos = float(np.einsum("ij,ij->i", pair[:1], pair[1:])[0]) / (math.sqrt(sl) * math.sqrt(sr))
+    cos = ((l0 * r0 + l2 * r2) + l1 * r1) / (math.sqrt(sl) * math.sqrt(sr))
     return float(np.arccos(min(max(cos, -1.0), 1.0))) * (180.0 / math.pi)
 
 

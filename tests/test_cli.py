@@ -243,6 +243,16 @@ MALFORMED_CLI = {
             ("inf_depth", "inf", "2.0"),
         ]
     },
+    # An unknown unit, and a second copy of a report, which would be averaged in.
+    **{
+        f"analyze_subjective_{name}": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--subjective": (
+            "participant_id,environment,depth_m,report_value,unit,repetition\n"
+            f"p01,Real,1.0,2.0,meters,1\n{second_row}\n")}, ["--logratio", "--out", "OUT"], None)
+        for name, second_row in [
+            ("unknown_unit", "p01,Real,1.0,2.0,parsecs,2"),
+            ("repeated_row", "p01,Real,1.0,2.5,meters,1"),
+        ]
+    },
     "analyze_models_list": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": json.dumps(GOOD_MODELS["models"])},
                             ["--out", "OUT"], None),
     "analyze_models_empty_object": ("analyze", {"--gva-table": GVA_TABLE_HEADER, "--models": "{}"}, ["--out", "OUT"], None),

@@ -373,6 +373,23 @@ class TestDatasetRoundtrip:
             dataio.parse_subjective_csv(str(path))
         assert str(exc.value) == f"{message} [{path}:3]"
 
+    @pytest.mark.parametrize(
+        "second_row, message",
+        [
+            ("p01,Real,1.0,2.0,parsecs,2", "unknown distance unit 'parsecs'"),
+            ("p01,Real,1,2.5,Meters,1", "repeats the report of line 2"),
+        ],
+    )
+    def test_subjective_bad_unit_or_repeat_names_its_line(self, tmp_path, second_row, message):
+        path = tmp_path / "subjective.csv"
+        path.write_text(
+            "participant_id,environment,depth_m,report_value,unit,repetition\n"
+            f"p01,Real,1.0,2.0,meters,1\n{second_row}\n"
+        )
+        with pytest.raises(GazeParseError) as exc:
+            dataio.parse_subjective_csv(str(path))
+        assert str(exc.value) == f"{message} [{path}:3]"
+
 
 def reference_write_dataset(outdir: str, dataset) -> None:
     """The whole-cohort writer that ``write_dataset`` replaced: it wrote a ``simulate_cohort`` result."""

@@ -210,6 +210,32 @@ class TestOnePairKernel:
         assert vergence_angle((1e300, 0.0, 0.0), (0.0, 1.0, 0.0)) == pytest.approx(90.0)
 
 
+class TestDotProductOrder:
+    """Both kernels sum the dot product as ``(l0*r0 + l2*r2) + l1*r1``, on rows where the order shows."""
+
+    def test_both_kernels_use_the_written_order(self):
+        rng = np.random.default_rng(20)
+        left, right = rng.standard_normal((100_000, 3)), rng.standard_normal((100_000, 3))
+        x0, x1, x2 = (left[:, i] * right[:, i] for i in range(3))
+        norms = np.sqrt(np.add.reduce(left * left, axis=1)) * np.sqrt(np.add.reduce(right * right, axis=1))
+        cosines = [dot / norms for dot in ((x0 + x1) + x2, x0 + (x1 + x2), (x0 + x2) + x1)]
+        first_two, last_two, written = (np.degrees(np.arccos(np.clip(c, -1.0, 1.0))) for c in cosines)
+        # rows where the three orders give three cosines, and the written
+        # order an angle of its own
+        rows = np.flatnonzero(
+            ~_same_bits(cosines[0], cosines[1])
+            & ~_same_bits(cosines[0], cosines[2])
+            & ~_same_bits(cosines[1], cosines[2])
+            & ~_same_bits(first_two, written)
+            & ~_same_bits(last_two, written)
+        )
+        assert len(rows) > 100
+        left, right, written = left[rows], right[rows], written[rows]
+        assert _same_bits(vergence_angles(left, right), written).all()
+        one_row = [vergence_angle(tuple(left[i]), tuple(right[i])) for i in range(len(rows))]
+        assert _same_bits(one_row, written).all()
+
+
 class TestIdealVergence:
     def test_infinity_limit(self):
         assert ideal_vergence(1e9, IPD) == pytest.approx(0.0, abs=1e-6)
